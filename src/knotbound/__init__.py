@@ -6,6 +6,7 @@ from .braid import (
     QPFactorization,
     BraidError,
     NotDestabilizable,
+    EngineInconsistency,
     parse_braid_word,
     free_reduce,
     writhe,
@@ -18,7 +19,7 @@ from .braid import (
     g4_from_qp,
 )
 from .laurent import LaurentPoly1, LaurentPoly2, AQPolynomial, to_aq, a_degree_range
-from .homfly import homfly, homfly_batch
+from .homfly import homfly
 from .seifert import seifert_matrix, signature, determinant, alexander
 from .khovanov import braid_to_pd, reduced_khovanov, poincare_polynomial
 from .bounds import (

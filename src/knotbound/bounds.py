@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .braid import BraidWord, writhe
+from .braid import BraidWord, EngineInconsistency, writhe
 from .homfly import homfly
 from .laurent import AQPolynomial, a_degree_range
 
@@ -136,9 +136,11 @@ def mfw_report(w: BraidWord) -> BoundReport:
     b_d = w.strands
     lower_line = w_d - b_d + 1
     upper_line = w_d + b_d - 1
-    assert lower_line <= d_minus <= d_plus <= upper_line, (
-        "degree bound violated; skein engine inconsistency"
-    )
+    if not lower_line <= d_minus <= d_plus <= upper_line:
+        raise EngineInconsistency(
+            f"a-degrees [{d_minus}, {d_plus}] of {w} leave the MFW lines "
+            f"[{lower_line}, {upper_line}]"
+        )
     return BoundReport(
         word=w,
         w_d=w_d,

@@ -27,6 +27,7 @@ __all__ = [
     "QPFactorization",
     "BraidError",
     "NotDestabilizable",
+    "EngineInconsistency",
     "parse_braid_word",
     "free_reduce",
     "cyclic_reduce",
@@ -65,6 +66,14 @@ class BraidError(ValueError):
 
 class NotDestabilizable(BraidError):
     """No destabilizable representative found within the search bound."""
+
+
+class EngineInconsistency(RuntimeError):
+    """A computed result broke an identity that every correct result obeys.
+
+    Raised by the result guards of the invariant engines; it signals a bug,
+    not bad input, and unlike an ``assert`` it survives ``python -O``.
+    """
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,8 @@ def _invariant_payload(
     want_seifert: bool,
     cache: ResultCache,
 ) -> dict:
-    key = key_string(braid.canonical_closure_key(w))
+    # The conjugacy-stable key costs Garside normal forms; only the cache needs it.
+    key = key_string(braid.canonical_closure_key(w)) if cache.enabled else None
     record = cache.load(key) if cache.enabled else None
     homfly_payload: Optional[dict] = None
     kh_payload: Optional[list] = None

@@ -11,24 +11,28 @@ components in order of their least strand.  The underlying projection does
 not change when a crossing is switched, so the first crossing whose first
 visit runs under strictly moves rightward along the traversal after each
 switch; smoothing deletes a letter.  That lexicographic measure guarantees
-termination, and memoisation on the conjugacy-stable closure key collapses
-the tree for the braid families that revisit isotopic sub-diagrams.
+termination.
+
+The tree is walked with an explicit stack, so word length is not limited by
+the interpreter's recursion depth.  Sub-diagrams that recur are shared
+through a memo keyed on the free-reduced letter tuple; the strand count is
+fixed within one call, so the key is exact.  The memo lives for one
+``homfly`` call: nothing is kept between calls.
 """
 
 from __future__ import annotations
 
-import sys
-from typing import Optional, Sequence
+from typing import Optional
 
 from .braid import (
     BraidWord,
-    canonical_closure_key,
+    canonical_closure_key,  # noqa: F401  unused here; perfbench/tracing.py patches it
     closure_components,
     free_reduce,
 )
 from .laurent import LaurentPoly2
 
-__all__ = ["homfly", "homfly_batch", "clear_cache"]
+__all__ = ["homfly", "clear_cache"]
 
 _A2 = LaurentPoly2.monomial(2, 0)
 _NEG_AZ = LaurentPoly2.monomial(1, 1, -1)
@@ -36,11 +40,13 @@ _INV_A2 = LaurentPoly2.monomial(-2, 0)
 _INV_AZ = LaurentPoly2.monomial(-1, 1)
 _DELTA = LaurentPoly2.from_dict({(1, -1): 1, (-1, -1): -1})
 
-_cache: dict[tuple, LaurentPoly2] = {}
-
 
 def clear_cache() -> None:
-    _cache.clear()
+    """Do nothing: the skein memo lives inside one ``homfly`` call.
+
+    Kept so that callers which clear the memo between queries, such as the
+    benchmark in ``perfbench/``, keep working.
+    """
 
 
 def _first_bad_crossing(w: BraidWord) -> Optional[int]:
@@ -85,41 +91,37 @@ def _delta_power(c: int) -> LaurentPoly2:
     return out
 
 
-def _homfly(w: BraidWord) -> LaurentPoly2:
-    w = free_reduce(w)
-    key = canonical_closure_key(w)
-    hit = _cache.get(key)
-    if hit is not None:
-        return hit
-    bad = _first_bad_crossing(w)
-    if bad is None:
-        value = _delta_power(closure_components(w) - 1)
-    else:
-        letters = w.letters
-        e = letters[bad]
-        switched = w.with_letters(letters[:bad] + (-e,) + letters[bad + 1:])
-        smoothed = w.with_letters(letters[:bad] + letters[bad + 1:])
-        if e > 0:
-            value = _A2 * _homfly(switched) + _NEG_AZ * _homfly(smoothed)
-        else:
-            value = _INV_A2 * _homfly(switched) + _INV_AZ * _homfly(smoothed)
-    _cache[key] = value
-    return value
-
-
 def homfly(w: BraidWord) -> LaurentPoly2:
     """HOMFLYPT polynomial of the closure of w, in (a, z)."""
-    limit = sys.getrecursionlimit()
-    needed = 4 * len(w) * len(w) + 1000
-    if needed > limit:
-        sys.setrecursionlimit(needed)
-    try:
-        return _homfly(w)
-    finally:
-        if needed > limit:
-            sys.setrecursionlimit(limit)
-
-
-def homfly_batch(words: Sequence[BraidWord]) -> list[LaurentPoly2]:
-    """Order-preserving batch evaluation sharing the memo cache."""
-    return [homfly(w) for w in words]
+    root = free_reduce(w)
+    memo: dict[tuple[int, ...], LaurentPoly2] = {}
+    # A frame (v, None) asks for the value of v.  A frame (v, (e, switched,
+    # smoothed)) sits under its two resolutions and combines their values
+    # once both are in the memo.  The skein graph is acyclic, so a word is
+    # never expanded while an earlier expansion of it is still open.
+    stack: list[tuple[BraidWord, Optional[tuple]]] = [(root, None)]
+    while stack:
+        v, resolved = stack.pop()
+        letters = v.letters
+        if resolved is not None:
+            e, switched, smoothed = resolved
+            if e > 0:
+                memo[letters] = (_A2 * memo[switched.letters]
+                                 + _NEG_AZ * memo[smoothed.letters])
+            else:
+                memo[letters] = (_INV_A2 * memo[switched.letters]
+                                 + _INV_AZ * memo[smoothed.letters])
+            continue
+        if letters in memo:
+            continue
+        bad = _first_bad_crossing(v)
+        if bad is None:
+            memo[letters] = _delta_power(closure_components(v) - 1)
+            continue
+        e = letters[bad]
+        switched = free_reduce(v.with_letters(letters[:bad] + (-e,) + letters[bad + 1:]))
+        smoothed = free_reduce(v.with_letters(letters[:bad] + letters[bad + 1:]))
+        stack.append((v, (e, switched, smoothed)))
+        stack.append((smoothed, None))
+        stack.append((switched, None))
+    return memo[root.letters]

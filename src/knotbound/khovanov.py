@@ -57,14 +57,20 @@ class PlanarDiagram:
             if sign not in (1, -1):
                 raise BraidError(f"crossing sign must be +-1, got {sign}")
             for e in ports:
+                self._check_edge(e)
                 counts[e] += 1
         for e in self.free_edges:
+            self._check_edge(e)
             counts[e] += 2
         bad = [e for e, c in enumerate(counts) if c != 2]
         if bad:
             raise BraidError(f"edges {bad} do not appear exactly twice")
         if not (0 <= self.marked_edge < self.n_edges):
             raise BraidError("marked edge out of range")
+
+    def _check_edge(self, e: int) -> None:
+        if not 0 <= e < self.n_edges:
+            raise BraidError(f"edge id {e} out of range 0..{self.n_edges - 1}")
 
     def resolution_pairs(self, crossing_index: int):
         """(zero-resolution pairs, one-resolution pairs) at a crossing.
@@ -102,19 +108,14 @@ def braid_to_pd(w: BraidWord) -> PlanarDiagram:
     # incoming[r][pos] / outgoing[r][pos]: edge ids on row r at a crossing.
     incoming: dict[int, dict[int, int]] = {}
     outgoing: dict[int, dict[int, int]] = {}
-    marked_edge: Optional[int] = None
     for r in range(1, n + 1):
         positions = touching[r]
         if not positions:
             free_edges.append(next_edge)
-            if r == 1:
-                marked_edge = next_edge
             next_edge += 1
             continue
         closure = next_edge  # arc from the last crossing around to the first
         next_edge += 1
-        if r == 1:
-            marked_edge = closure
         inc, out = {}, {}
         inc[positions[0]] = closure
         for p, p_next in zip(positions, positions[1:]):
@@ -138,8 +139,8 @@ def braid_to_pd(w: BraidWord) -> PlanarDiagram:
             ports = (in_top, in_bot, out_bot, out_top)
         crossings.append((ports, 1 if e > 0 else -1))
 
-    assert marked_edge is not None
-    return PlanarDiagram(tuple(crossings), next_edge, marked_edge, tuple(free_edges))
+    # Row 1 is numbered first, so its closure arc or free circle is edge 0.
+    return PlanarDiagram(tuple(crossings), next_edge, 0, tuple(free_edges))
 
 
 @dataclass(frozen=True)
@@ -475,7 +476,18 @@ def pd_to_text(pd: PlanarDiagram) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _edge_id(token: str, line: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise BraidError(f"edge id {token!r} is not an integer in {line!r}") from None
+
+
 def pd_from_text(text: str) -> PlanarDiagram:
+    """Parse ``pd_to_text`` output; malformed input raises ``BraidError``.
+
+    Edge ranges and counts are checked by ``PlanarDiagram``.
+    """
     crossings = []
     free_edges = []
     marked: Optional[int] = None
@@ -488,15 +500,18 @@ def pd_from_text(text: str) -> PlanarDiagram:
         if parts[0] == "X":
             if len(parts) != 6 or parts[5] not in ("+", "-"):
                 raise BraidError(f"malformed crossing line {line!r}")
-            ports = tuple(int(p) for p in parts[1:5])
+            ports = tuple(_edge_id(p, line) for p in parts[1:5])
             crossings.append((ports, 1 if parts[5] == "+" else -1))
             max_edge = max(max_edge, *ports)
-        elif parts[0] == "U":
-            e = int(parts[1])
-            free_edges.append(e)
-            max_edge = max(max_edge, e)
-        elif parts[0] == "M":
-            marked = int(parts[1])
+        elif parts[0] in ("U", "M"):
+            if len(parts) != 2:
+                raise BraidError(f"{parts[0]} line needs exactly one edge id: {line!r}")
+            e = _edge_id(parts[1], line)
+            if parts[0] == "U":
+                free_edges.append(e)
+                max_edge = max(max_edge, e)
+            else:
+                marked = e
         else:
             raise BraidError(f"unrecognised PD line {line!r}")
     if marked is None:

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .braid import BraidWord, BraidError, closure_components
+from .braid import BraidWord, BraidError, EngineInconsistency, closure_components
 from .laurent import LaurentPoly1
 
 __all__ = [
@@ -260,8 +260,6 @@ def _interpolate_integer_poly(points: list[int], values: list[int]) -> list[int]
         scale = Fraction(yi) / denom
         for d, c in enumerate(basis):
             coeffs[d] += c * scale
-    out = []
-    for c in coeffs:
-        assert c.denominator == 1
-        out.append(int(c))
-    return out
+    if any(c.denominator != 1 for c in coeffs):
+        raise EngineInconsistency(f"interpolated coefficients {coeffs} are not integers")
+    return [int(c) for c in coeffs]

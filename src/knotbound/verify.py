@@ -163,7 +163,7 @@ def _c_degree_bound_regression():
         BraidWord(3, (-1, -2, -1, 2, 2)), BraidWord(4, (1, -2, 3, -2, 1, 3)),
     ]
     for w in words:
-        r = mfw_report(w)  # raises AssertionError on violation
+        r = mfw_report(w)  # raises EngineInconsistency on violation
         line_low = r.w_d - r.b_d + 1
         line_high = r.w_d + r.b_d - 1
         if not (line_low <= r.d_minus <= r.d_plus <= line_high):

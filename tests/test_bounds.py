@@ -21,6 +21,7 @@ from knotbound.bounds import (
 )
 from knotbound.braid import (
     BraidWord,
+    EngineInconsistency,
     elrifai_k_word,
     expand_qp,
     g4_from_qp,
@@ -29,7 +30,7 @@ from knotbound.braid import (
     torus2_word,
 )
 from knotbound.homfly import homfly
-from knotbound.laurent import AQPolynomial, a_degree_range, to_aq
+from knotbound.laurent import AQPolynomial, LaurentPoly2, a_degree_range, to_aq
 from knotbound.verify import HOMFLY_MAIN, HOMFLY_SWITCHED
 
 interval = st.tuples(st.integers(-10, 10), st.integers(-10, 10)).map(
@@ -61,6 +62,14 @@ def test_mfw_report_fat_unknot():
     assert r.mfw_sharp_lower and not r.mfw_sharp_upper
     tight = mfw_report(BraidWord(1, ()))
     assert tight.mfw_sharp_lower and tight.mfw_sharp_upper
+
+
+def test_mfw_report_guard_raises_on_out_of_range_degrees(monkeypatch):
+    import knotbound.bounds as bounds
+
+    monkeypatch.setattr(bounds, "homfly", lambda w: LaurentPoly2.monomial(40, 0))
+    with pytest.raises(EngineInconsistency, match="MFW lines"):
+        mfw_report(BraidWord(2, (1, 1, 1)))
 
 
 # --- thin reconstruction --------------------------------------------------------

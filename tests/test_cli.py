@@ -141,6 +141,27 @@ def test_emit_and_import_pd(tmp_path, capsys):
     assert payload["khovanov"]["ranks"] == [[2, 0, 1], [6, 2, 1], [8, 3, 1]]
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("X a 1 2 3 +\nM 0\n", "not an integer"),
+        ("X 0 1 1 0 +\nU\n", "exactly one edge id"),
+        ("X 0 1 1 0 +\nM\n", "exactly one edge id"),
+        ("X -1 0 1 2 +\nX 2 1 0 -1 +\nM 0\n", "out of range"),
+    ],
+    ids=["non-integer-port", "bare-U", "bare-M", "negative-edge"],
+)
+def test_malformed_pd_file_exit_2(tmp_path, capsys, text, message):
+    pd_file = tmp_path / "bad.pd"
+    pd_file.write_text(text)
+    code, out, err = run(
+        capsys, ["invariants", "--pd-file", str(pd_file), "--khovanov", "--json"]
+    )
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 # --- cache ---------------------------------------------------------------------
 
 def test_cache_round_trip(tmp_path):

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -12,7 +13,7 @@ from knotbound.braid import (
     stabilize,
     torus2_word,
 )
-from knotbound.homfly import homfly, homfly_batch
+from knotbound.homfly import homfly
 from knotbound.laurent import LaurentPoly2, a_degree_range, to_aq
 from knotbound.verify import (
     HOMFLY_DOUBLE,
@@ -69,16 +70,6 @@ def test_resolution_block_polynomials():
     assert to_aq(homfly(resolution_word("0-"))) == HOMFLY_DOUBLE
 
 
-def test_batch_preserves_order_and_cache():
-    words = [BraidWord(2, (1,)), BraidWord(2, (-1,))]
-    assert homfly_batch(words) == [LaurentPoly2.one(), LaurentPoly2.one()]
-    assert homfly_batch([]) == []
-    labels = ["+", "-", "0", "0-", "00", "0--", "0-0"]
-    batch = homfly_batch([resolution_word(s) for s in labels])
-    assert batch == [homfly(resolution_word(s)) for s in labels]
-    assert to_aq(batch[0]) == HOMFLY_MAIN
-
-
 def test_skein_relation_random_sites():
     rng = random.Random(21)
     for _ in range(30):
@@ -121,6 +112,18 @@ def test_torus_recurrence():
         assert homfly(torus2_word(n)) == a2 * homfly(torus2_word(n - 2)) - az * homfly(
             torus2_word(n - 1)
         )
+
+
+def test_long_word_needs_no_recursion_limit(monkeypatch):
+    def refuse(limit):
+        raise RuntimeError("homfly must not change the interpreter's recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    a2 = LaurentPoly2.monomial(2, 0)
+    az = LaurentPoly2.monomial(1, 1)
+    assert homfly(torus2_word(301)) == a2 * homfly(torus2_word(299)) - az * homfly(
+        torus2_word(300)
+    )
 
 
 @pytest.mark.parametrize("k", [1, 2])

@@ -2,18 +2,23 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotbound.braid import (
     BraidWord,
+    EngineInconsistency,
     conjugate,
     elrifai_k_word,
     mirror,
     resolution_word,
     stabilize,
 )
+from knotbound.homfly import homfly
 from knotbound.seifert import (
     DisconnectedSurface,
     NotAKnot,
+    _interpolate_integer_poly,
     alexander,
     determinant,
     seifert_matrix,
@@ -143,3 +148,52 @@ def test_signature_invariance_under_free_reduction():
     w = BraidWord(3, (1, 2, -2, 2, 1, 1, 2))
     assert signature(free_reduce(w)) == signature(w)
     assert determinant(free_reduce(w)) == determinant(w)
+
+
+def test_interpolation_guard_raises_on_fractional_coefficients():
+    # The line through (0, 0) and (2, 1) is x / 2.
+    with pytest.raises(EngineInconsistency):
+        _interpolate_integer_poly([0, 2], [0, 1])
+
+
+@st.composite
+def connected_words(draw, max_len=14):
+    """2-4 strand words using every generator, so the Seifert surface is connected."""
+    n = draw(st.integers(2, 4))
+    gens = [g for g in range(1, n)] + [-g for g in range(1, n)]
+    letters = draw(st.lists(st.sampled_from(gens), max_size=max_len - (n - 1)))
+    for g in range(1, n):
+        sign = draw(st.sampled_from([1, -1]))
+        letters.insert(draw(st.integers(0, len(letters))), sign * g)
+    return BraidWord(n, tuple(letters))
+
+
+def _det(rows):
+    a = [list(r) for r in rows]
+    det = Fraction(1)
+    for k in range(len(a)):
+        pivot = next((r for r in range(k, len(a)) if a[r][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for r in range(k + 1, len(a)):
+            f = a[r][k] / a[k][k]
+            for c in range(k, len(a)):
+                a[r][c] -= f * a[k][c]
+    return det
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_words())
+def test_conway_identity_against_homfly(w):
+    # det(s V - s^-1 V^T) = P(a=1, z=s-s^-1): Seifert form against skein tree.
+    v = seifert_matrix(w).matrix
+    p = homfly(w).as_dict()
+    for s in (Fraction(2), Fraction(5, 2)):
+        lhs = _det([[s * v[i][j] - v[j][i] / s for j in range(len(v))]
+                    for i in range(len(v))])
+        z = s - 1 / s
+        assert lhs == sum(c * z**ez for (_, ez), c in p.items())
