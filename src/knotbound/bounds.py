@@ -26,6 +26,7 @@ __all__ = [
     "InconsistentThinness",
     "EmptyTable",
     "ParityError",
+    "InvertedSpan",
     "mfw_report",
     "kr_report",
     "thin_reconstruct",
@@ -49,6 +50,10 @@ class EmptyTable(ValueError):
 
 class ParityError(ValueError):
     """Grading conversion requires k - j to be even."""
+
+
+class InvertedSpan(ValueError):
+    """A supplied grading span has delta_plus below delta_minus."""
 
 
 @dataclass(frozen=True)
@@ -161,7 +166,7 @@ def kr_report(w: BraidWord, delta_minus: int, delta_plus: int) -> BoundReport:
             f"delta span {delta_plus} - {delta_minus} must be even"
         )
     if delta_plus < delta_minus:
-        raise ValueError("delta_plus must be at least delta_minus")
+        raise InvertedSpan("delta_plus must be at least delta_minus")
     base = mfw_report(w)
     lower_line = base.w_d - base.b_d + 1
     upper_line = base.w_d + base.b_d - 1

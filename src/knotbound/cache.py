@@ -84,7 +84,8 @@ class InvariantRecord:
         )
 
     def merged_with(self, other: "InvariantRecord") -> "InvariantRecord":
-        """Fill missing invariant fields from another record, same key."""
+        """Fill missing invariant fields from ``other``, an earlier record of
+        the same key, and keep its ``created`` stamp."""
         return InvariantRecord(
             canonical_key=self.canonical_key,
             strands=self.strands,
@@ -96,7 +97,7 @@ class InvariantRecord:
             determinant=(
                 self.determinant if self.determinant is not None else other.determinant
             ),
-            created=self.created or other.created,
+            created=other.created or self.created,
         )
 
 

@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import braid
 from .braid import BraidWord, BraidError, parse_braid_word
-from .bounds import ParityError, kr_report, mfw_report
+from .bounds import InvertedSpan, ParityError, kr_report, mfw_report
 from .cache import ENV_VAR, InvariantRecord, ResultCache, key_string
 from .homfly import homfly
 from .khovanov import (
@@ -118,7 +118,11 @@ def _invariant_payload(
 
 def _cmd_invariants(args) -> int:
     if args.pd_file:
-        text = open(args.pd_file).read()
+        try:
+            with open(args.pd_file, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise BraidError(f"{args.pd_file} is not UTF-8 text: {exc.reason}") from None
         pd = pd_from_text(text)
         ranks = reduced_khovanov(pd)
         _emit({"khovanov": _kh_payload(ranks)}, args.json)
@@ -316,7 +320,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (DisconnectedSurface, NotAKnot) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return PRECONDITION_ERROR
-    except (BraidError, ParityError) as exc:
+    except (BraidError, ParityError, InvertedSpan) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except OSError as exc:

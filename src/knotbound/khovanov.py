@@ -10,12 +10,11 @@ specialisation P(q^2, q).
 Ranks are computed degree by degree with exact sparse Gaussian elimination;
 entries start at +-1 and unit pivots are preferred, so arithmetic stays
 integral almost everywhere and falls back to rationals only when forced.
-A large-prime mode exists for speed checks and is asserted against the
-rational mode in the test suite.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -33,9 +32,6 @@ __all__ = [
     "pd_to_text",
     "pd_from_text",
 ]
-
-_FIELD_PRIME = 2_147_483_647  # rank checks mod a large prime, optional mode
-
 
 @dataclass(frozen=True)
 class PlanarDiagram:
@@ -212,8 +208,9 @@ class _UnionFind:
 def _vertex_circles(pd: PlanarDiagram, vertex: int):
     """Circle decomposition at a cube vertex.
 
-    Returns (edge_to_circle, circle_count, marked_circle_index); circles are
-    indexed by the order of their least edge id.
+    Returns (edge_to_circle, least_edge, marked_circle_index); circles are
+    indexed by the order of their least edge id, and least_edge[ci] is the
+    least edge of circle ci.
     """
     uf = _UnionFind(pd.n_edges)
     for k in range(len(pd.crossings)):
@@ -223,31 +220,46 @@ def _vertex_circles(pd: PlanarDiagram, vertex: int):
             uf.union(x, y)
     roots: dict[int, int] = {}
     edge_to_circle = [0] * pd.n_edges
+    least_edge: list[int] = []
     for e in range(pd.n_edges):
         r = uf.find(e)
         if r not in roots:
             roots[r] = len(roots)
+            least_edge.append(e)
         edge_to_circle[e] = roots[r]
-    return edge_to_circle, len(roots), edge_to_circle[pd.marked_edge]
+    return edge_to_circle, least_edge, edge_to_circle[pd.marked_edge]
 
 
-def _rank_sparse(columns: dict[int, dict[int, int]], mod: Optional[int] = None) -> int:
-    """Rank of a sparse matrix given column-wise, exact over Q or mod a prime.
+def _states(count: int, marked: int):
+    """Label masks of a vertex with ``count`` circles, bit set = generator x.
+
+    The marked circle is always x; the free circles run through every subset.
+    """
+    free = [ci for ci in range(count) if ci != marked]
+    for sub in range(1 << len(free)):
+        mask = 1 << marked
+        for i, ci in enumerate(free):
+            if (sub >> i) & 1:
+                mask |= 1 << ci
+        yield mask
+
+
+def _quantum(vertex: int, count: int, mask: int, shift: int) -> int:
+    """Quantum grading (#ones - #xs) + |vertex| + shift of a state."""
+    return count - 2 * bin(mask).count("1") + bin(vertex).count("1") + shift
+
+
+def _rank_sparse(columns: dict[int, dict[int, int]]) -> int:
+    """Rank over Q of a sparse integer matrix given column-wise.
 
     Pivot selection walks a lazy heap of row sizes and prefers entries of
     absolute value one in the sparsest rows (they keep all arithmetic
     integral and bound fill-in); otherwise entries become Fractions.
     """
-    import heapq
-
     rows: dict[int, dict[int, object]] = {}
     col_rows: dict[int, set[int]] = {}
     for c, col in columns.items():
         for r, val in col.items():
-            if mod is not None:
-                val = val % mod
-                if not val:
-                    continue
             rows.setdefault(r, {})[c] = val
             col_rows.setdefault(c, set()).add(r)
     heap = [(len(row), r) for r, row in rows.items()]
@@ -266,8 +278,7 @@ def _rank_sparse(columns: dict[int, dict[int, int]], mod: Optional[int] = None) 
                 continue
             best = None
             for c, val in row.items():
-                unit = mod is not None or val == 1 or val == -1
-                score = (0 if unit else 1, len(col_rows[c]))
+                score = (0 if val == 1 or val == -1 else 1, len(col_rows[c]))
                 if best is None or score < best:
                     best = score
                     pivot = (r, c, val)
@@ -284,37 +295,23 @@ def _rank_sparse(columns: dict[int, dict[int, int]], mod: Optional[int] = None) 
         for r in targets:
             row = rows[r]
             val = row[c0]
-            if mod is not None:
-                factor = (val * pow(v0, mod - 2, mod)) % mod
-                for c, pv in prow.items():
-                    if c == c0:
-                        continue
-                    nv = (row.get(c, 0) - factor * pv) % mod
-                    if nv:
-                        if c not in row:
-                            col_rows.setdefault(c, set()).add(r)
-                        row[c] = nv
-                    elif c in row:
-                        del row[c]
-                        col_rows[c].discard(r)
+            if v0 == 1 or v0 == -1:
+                factor = val * v0  # val / v0 for unit pivots
             else:
-                if v0 == 1 or v0 == -1:
-                    factor = val * v0  # val / v0 for unit pivots
-                else:
-                    factor = Fraction(val, v0)
-                for c, pv in prow.items():
-                    if c == c0:
-                        continue
-                    nv = row.get(c, 0) - factor * pv
-                    if isinstance(nv, Fraction) and nv.denominator == 1:
-                        nv = int(nv)
-                    if nv:
-                        if c not in row:
-                            col_rows.setdefault(c, set()).add(r)
-                        row[c] = nv
-                    elif c in row:
-                        del row[c]
-                        col_rows[c].discard(r)
+                factor = Fraction(val, v0)
+            for c, pv in prow.items():
+                if c == c0:
+                    continue
+                nv = row.get(c, 0) - factor * pv
+                if isinstance(nv, Fraction) and nv.denominator == 1:
+                    nv = int(nv)
+                if nv:
+                    if c not in row:
+                        col_rows.setdefault(c, set()).add(r)
+                    row[c] = nv
+                elif c in row:
+                    del row[c]
+                    col_rows[c].discard(r)
             del row[c0]
             if not row:
                 del rows[r]
@@ -325,133 +322,63 @@ def _rank_sparse(columns: dict[int, dict[int, int]], mod: Optional[int] = None) 
     return rank
 
 
-def reduced_khovanov(pd: PlanarDiagram, mod_prime: bool = False) -> BigradedRanks:
-    """Reduced Khovanov homology ranks of the diagram, over the rationals.
-
-    ``mod_prime`` switches the rank computations to a large prime field;
-    this is a speed mode whose agreement with the rational mode is asserted
-    on small inputs by the test suite.
-    """
+def reduced_khovanov(pd: PlanarDiagram) -> BigradedRanks:
+    """Reduced Khovanov homology ranks of the diagram, over the rationals."""
     nc = len(pd.crossings)
     n_plus, n_minus = pd.signs()
     circles = [_vertex_circles(pd, v) for v in range(1 << nc)]
+    # Shifts the quantum grading so the reduced unknot sits at zero.
+    shift = n_plus - 2 * n_minus + 1
 
-    # States of a vertex: label masks over circles, bit set = generator x,
-    # with the marked circle forced to x.  Quantum grading of a state is
-    # (#ones - #xs) + |v| + n_plus - 2 n_minus, shifted by +1 so the reduced
-    # unknot sits at zero.
-    def state_I(vertex: int, mask: int) -> int:
-        _, count, _ = circles[vertex]
-        popcount_x = bin(mask).count("1")
-        deg = count - 2 * popcount_x
-        return deg + bin(vertex).count("1") + n_plus - 2 * n_minus + 1
-
+    # Number the states of each (quantum, homological) block.
     dims: dict[tuple[int, int], int] = {}
-    index: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
-    for v in range(1 << nc):
-        _, count, marked = circles[v]
+    position: dict[tuple[int, int], int] = {}  # (vertex, mask) -> index in block
+    for v, (_, least, marked) in enumerate(circles):
         j = bin(v).count("1") - n_minus
-        base = 1 << marked
-        free = [ci for ci in range(count) if ci != marked]
-        for sub in range(1 << len(free)):
-            mask = base
-            s = sub
-            for ci in free:
-                if s & 1:
-                    mask |= 1 << ci
-                s >>= 1
-            key = (state_I(v, mask), j)
-            slot = index.setdefault(key, {})
-            slot[(v, mask)] = len(slot)
-            dims[key] = dims.get(key, 0) + 1
+        for mask in _states(len(least), marked):
+            key = (_quantum(v, len(least), mask, shift), j)
+            position[v, mask] = dims.get(key, 0)
+            dims[key] = position[v, mask] + 1
 
     # Assemble the differential blockwise and take ranks.
     blocks: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
-    for v in range(1 << nc):
-        edge_to_circle, count, marked = circles[v]
+    for v, (edge_to_circle, least, marked) in enumerate(circles):
+        count = len(least)
         j = bin(v).count("1") - n_minus
+        states = [(mask, _quantum(v, count, mask, shift))
+                  for mask in _states(count, marked)]
         for k in range(nc):
             if (v >> k) & 1:
                 continue
             v2 = v | (1 << k)
-            e2c2, count2, _ = circles[v2]
+            e2c2 = circles[v2][0]
             sign = -1 if bin(v & ((1 << k) - 1)).count("1") % 2 else 1
             ports = pd.crossings[k][0]
-            touched = sorted({edge_to_circle[e] for e in ports})
-            rep_edge = [None] * count
-            for e in range(pd.n_edges):
-                ci = edge_to_circle[e]
-                if rep_edge[ci] is None:
-                    rep_edge[ci] = e
-            carry = [e2c2[rep_edge[ci]] for ci in range(count)]
-            if len(touched) == 2:
-                merge: Optional[tuple[int, int, int]] = (
-                    touched[0],
-                    touched[1],
-                    e2c2[ports[0]],
-                )
-                split = None
-            else:
-                src = touched[0]
-                new_circles = sorted({e2c2[e] for e in ports})
-                split = (src, new_circles[0], new_circles[1])
-                merge = None
-            _, countv, _ = circles[v]
-            base = 1 << marked
-            free = [ci for ci in range(countv) if ci != marked]
-            for sub in range(1 << len(free)):
-                mask = base
-                s = sub
-                for ci in free:
-                    if s & 1:
-                        mask |= 1 << ci
-                    s >>= 1
-                I = state_I(v, mask)
-                col_key = (I, j)
-                col_idx = index[col_key][(v, mask)]
-                images: list[tuple[int, int]] = []  # (mask2, coeff)
-                if merge is not None:
-                    ca, cb, target = merge
-                    xa = (mask >> ca) & 1
-                    xb = (mask >> cb) & 1
+            # Two circles merge into one, or one splits into two.
+            old = sorted({edge_to_circle[e] for e in ports})
+            new = sorted({e2c2[e] for e in ports})
+            carry = [e2c2[e] for e in least]
+            for mask, I in states:
+                rest = 0
+                for ci in range(count):
+                    if (mask >> ci) & 1 and ci not in old:
+                        rest |= 1 << carry[ci]
+                if len(old) == 2:
+                    xa, xb = (mask >> old[0]) & 1, (mask >> old[1]) & 1
                     if xa and xb:
-                        pass  # m(x, x) = 0
-                    else:
-                        label = xa | xb  # m(1,1)=1 ; m(1,x)=m(x,1)=x
-                        mask2 = 0
-                        for ci in range(countv):
-                            if ci in (ca, cb):
-                                continue
-                            if (mask >> ci) & 1:
-                                mask2 |= 1 << carry[ci]
-                        if label:
-                            mask2 |= 1 << target
-                        images.append((mask2, sign))
+                        continue  # m(x, x) = 0
+                    # m(1, 1) = 1, m(1, x) = m(x, 1) = x
+                    images = (rest | (xa | xb) << new[0],)
+                elif (mask >> old[0]) & 1:
+                    images = (rest | 1 << new[0] | 1 << new[1],)  # x -> x x
                 else:
-                    src, t1, t2 = split
-                    xs = (mask >> src) & 1
-                    rest = 0
-                    for ci in range(countv):
-                        if ci == src:
-                            continue
-                        if (mask >> ci) & 1:
-                            rest |= 1 << carry[ci]
-                    if xs:
-                        images.append((rest | (1 << t1) | (1 << t2), sign))
-                    else:
-                        images.append((rest | (1 << t1), sign))
-                        images.append((rest | (1 << t2), sign))
-                for mask2, coeff in images:
-                    row_key = (I, j + 1)
-                    row_idx = index[row_key][(v2, mask2)]
-                    block = blocks.setdefault(col_key, {})
-                    col = block.setdefault(col_idx, {})
-                    col[row_idx] = col.get(row_idx, 0) + coeff
+                    images = (rest | 1 << new[0], rest | 1 << new[1])  # 1 -> 1x + x1
+                col = blocks.setdefault((I, j), {}).setdefault(position[v, mask], {})
+                for mask2 in images:
+                    row = position[v2, mask2]
+                    col[row] = col.get(row, 0) + sign
 
-    mod = _FIELD_PRIME if mod_prime else None
-    rank_out: dict[tuple[int, int], int] = {}
-    for key, cols in blocks.items():
-        rank_out[key] = _rank_sparse(cols, mod)
+    rank_out = {key: _rank_sparse(cols) for key, cols in blocks.items()}
 
     betti: dict[tuple[int, int], int] = {}
     for (I, j), dim in dims.items():

@@ -21,8 +21,8 @@ from knotbound.bounds import (
     slice_bennequin_check,
 )
 from knotbound.homfly import clear_cache, homfly
-from knotbound.khovanov import braid_to_pd, euler_polynomial, reduced_khovanov
-from knotbound.laurent import LaurentPoly1, LaurentPoly2, a_degree_range, to_aq
+from knotbound.khovanov import braid_to_pd, reduced_khovanov
+from knotbound.laurent import LaurentPoly2, a_degree_range, to_aq
 from knotbound.seifert import determinant, signature
 from knotbound.verify import (
     HOMFLY_DOUBLE,
@@ -30,6 +30,7 @@ from knotbound.verify import (
     HOMFLY_SMOOTHED,
     HOMFLY_SWITCHED,
     KHOVANOV_MAIN,
+    euler_matches,
 )
 
 
@@ -47,16 +48,6 @@ def criterion(number, label):
         return run
 
     return wrap
-
-
-def euler_specialization_matches(w: BraidWord) -> bool:
-    ranks = reduced_khovanov(braid_to_pd(w))
-    lhs = euler_polynomial(ranks)
-    aq = to_aq(homfly(w))
-    z_poly = LaurentPoly1.from_dict({1: 1, -1: -1})
-    for _ in range(aq.clearing):
-        lhs = lhs * z_poly
-    return lhs == aq.q_polynomial_at_a(2)
 
 
 @criterion(1, "main-knot HOMFLYPT, exact and under two seconds")
@@ -118,7 +109,7 @@ def test_criterion_05_euler_characteristic():
         for _ in range(20)
     ]
     for w in fixed + randoms:
-        assert euler_specialization_matches(w), w
+        assert euler_matches(w), w
 
 
 @criterion(6, "family polynomials equal two-strand torus polynomials")

@@ -117,6 +117,25 @@ def test_verify_section_two_has_ten_checks(capsys):
     assert all(r["passed"] for r in results)
 
 
+def test_verify_section_two_computes_main_khovanov_once(monkeypatch):
+    import knotbound.verify as verify
+    from knotbound.braid import elrifai_k_word
+    from knotbound.khovanov import braid_to_pd, reduced_khovanov
+
+    main_pd = braid_to_pd(elrifai_k_word(1))
+    calls = []
+
+    def counting(pd):
+        calls.append(pd == main_pd)
+        return reduced_khovanov(pd)
+
+    monkeypatch.setattr(verify, "reduced_khovanov", counting)
+    verify._main_khovanov.cache_clear()
+    results = verify.run_claims("2")
+    assert all(r["passed"] for r in results)
+    assert sum(calls) == 1
+
+
 def test_verify_failing_claim_exits_one(capsys, monkeypatch):
     import knotbound.verify as verify
 
@@ -162,6 +181,27 @@ def test_malformed_pd_file_exit_2(tmp_path, capsys, text, message):
     assert message in err
 
 
+def test_non_utf8_pd_file_exit_2(tmp_path, capsys):
+    pd_file = tmp_path / "latin1.pd"
+    pd_file.write_bytes(b"X 0 1 1 0 +\n# caf\xe9\nM 0\n")
+    code, out, err = run(
+        capsys, ["invariants", "--pd-file", str(pd_file), "--khovanov", "--json"]
+    )
+    assert code == 2
+    assert out == ""
+    assert "not UTF-8" in err
+
+
+def test_bounds_inverted_delta_span_exit_2(capsys):
+    code, out, err = run(
+        capsys,
+        ["bounds", "1 1 1", "--strands", "2", "--delta-minus", "8", "--delta-plus", "4"],
+    )
+    assert code == 2
+    assert out == ""
+    assert "delta_plus must be at least delta_minus" in err
+
+
 # --- cache ---------------------------------------------------------------------
 
 def test_cache_round_trip(tmp_path):
@@ -182,6 +222,16 @@ def test_cache_store_dedupes(tmp_path):
     cache.store(rec)
     lines = (tmp_path / "invariants.jsonl").read_text().splitlines()
     assert len(lines) == 1
+
+
+def test_cache_store_dedupes_across_timestamps(tmp_path):
+    cache = ResultCache(str(tmp_path))
+    fields = dict(canonical_key="k", strands=2, writhe=1, components=1, signature=0)
+    cache.store(InvariantRecord(created="2026-01-01T00:00:00+00:00", **fields))
+    cache.store(InvariantRecord(created="2026-01-01T00:00:05+00:00", **fields))
+    lines = (tmp_path / "invariants.jsonl").read_text().splitlines()
+    assert len(lines) == 1
+    assert ResultCache(str(tmp_path)).load("k").created == "2026-01-01T00:00:00+00:00"
 
 
 def test_cache_corrupt_line_skipped(tmp_path):

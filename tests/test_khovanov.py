@@ -8,29 +8,16 @@ from knotbound.braid import (
     mirror,
     stabilize,
 )
-from knotbound.homfly import homfly
 from knotbound.khovanov import (
     BigradedRanks,
     braid_to_pd,
-    euler_polynomial,
     pd_from_text,
     pd_to_text,
     poincare_polynomial,
     reduced_khovanov,
 )
-from knotbound.laurent import LaurentPoly1, to_aq
-from knotbound.verify import KHOVANOV_MAIN, KHOVANOV_MAIN_POINCARE
+from knotbound.verify import KHOVANOV_MAIN, KHOVANOV_MAIN_POINCARE, euler_matches
 from conftest import random_word
-
-
-def euler_matches_specialization(w: BraidWord) -> bool:
-    ranks = reduced_khovanov(braid_to_pd(w))
-    lhs = euler_polynomial(ranks)
-    aq = to_aq(homfly(w))
-    z_poly = LaurentPoly1.from_dict({1: 1, -1: -1})
-    for _ in range(aq.clearing):
-        lhs = lhs * z_poly
-    return lhs == aq.q_polynomial_at_a(2)
 
 
 # --- planar diagrams ----------------------------------------------------------
@@ -76,7 +63,7 @@ def test_trefoil_reduced_homology():
     for (_, j), r in ranks.ranks:
         by_j[j] += r
     assert by_j == [1, 0, 1, 1]
-    assert euler_matches_specialization(BraidWord(2, (1, 1, 1)))
+    assert euler_matches(BraidWord(2, (1, 1, 1)))
 
 
 def test_main_knot_reduced_homology(kstar_khovanov):
@@ -99,7 +86,7 @@ def test_euler_characteristic_on_fixed_words():
         BraidWord(3, (1, 2, 2, 1, 1, -2)),
         BraidWord(3, (1, -2, 1, -2)),
     ):
-        assert euler_matches_specialization(w)
+        assert euler_matches(w)
 
 
 def test_euler_characteristic_random_words():
@@ -108,7 +95,7 @@ def test_euler_characteristic_random_words():
         n = rng.choice([2, 3])
         gens = [g for g in range(1, n)] + [-g for g in range(1, n)]
         w = BraidWord(n, tuple(rng.choice(gens) for _ in range(rng.randint(0, 7))))
-        assert euler_matches_specialization(w)
+        assert euler_matches(w)
 
 
 def test_knot_total_rank_alternating_sum():
@@ -139,17 +126,9 @@ def test_mirror_reflection():
         assert reduced_khovanov(braid_to_pd(mirror(w))) == ranks.mirror()
 
 
-def test_prime_field_mode_agrees():
-    rng = random.Random(44)
-    for _ in range(6):
-        w = random_word(rng, rng.choice([2, 3]), 6)
-        pd = braid_to_pd(w)
-        assert reduced_khovanov(pd, mod_prime=True) == reduced_khovanov(pd)
-
-
 def test_split_components_handled():
     # a word missing a generator closes to a split link with a free circle
     w = BraidWord(3, (1, 1))
     ranks = reduced_khovanov(braid_to_pd(w))
     assert ranks.total_rank() > 0
-    assert euler_matches_specialization(w)
+    assert euler_matches(w)
