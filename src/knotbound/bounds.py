@@ -27,6 +27,7 @@ __all__ = [
     "EmptyTable",
     "ParityError",
     "InvertedSpan",
+    "SpanOffLines",
     "mfw_report",
     "kr_report",
     "thin_reconstruct",
@@ -54,6 +55,10 @@ class ParityError(ValueError):
 
 class InvertedSpan(ValueError):
     """A supplied grading span has delta_plus below delta_minus."""
+
+
+class SpanOffLines(ValueError):
+    """A supplied grading span leaves the diagram lines w - b + 1, w + b - 1."""
 
 
 @dataclass(frozen=True)
@@ -167,9 +172,14 @@ def kr_report(w: BraidWord, delta_minus: int, delta_plus: int) -> BoundReport:
         )
     if delta_plus < delta_minus:
         raise InvertedSpan("delta_plus must be at least delta_minus")
+    lower_line = writhe(w) - w.strands + 1
+    upper_line = writhe(w) + w.strands - 1
+    if not lower_line <= delta_minus <= delta_plus <= upper_line:
+        raise SpanOffLines(
+            f"delta span [{delta_minus}, {delta_plus}] leaves the diagram lines "
+            f"[{lower_line}, {upper_line}]"
+        )
     base = mfw_report(w)
-    lower_line = base.w_d - base.b_d + 1
-    upper_line = base.w_d + base.b_d - 1
     return BoundReport(
         word=w,
         w_d=base.w_d,

@@ -1,9 +1,13 @@
 """Advisory JSON-lines result cache keyed by the canonical closure key.
 
 One record per closure, append-only with dedupe on store; a corrupted line
-is skipped with a warning and never aborts a computation.  The cache
-location comes from an explicit directory argument or the KNOTBOUND_CACHE
-environment variable; with neither set the cache is silently disabled.
+is skipped with a warning and never aborts a computation.  Every record
+carries ``CACHE_VERSION``; a record of another or no version is ignored
+without a warning, and the next store appends a current one.  The cache
+assumes a single writer: concurrent processes appending to one file are
+not coordinated.  The cache location comes from an explicit directory
+argument or the KNOTBOUND_CACHE environment variable; with neither set the
+cache is silently disabled.
 """
 
 from __future__ import annotations
@@ -18,8 +22,10 @@ from typing import Optional
 
 ENV_VAR = "KNOTBOUND_CACHE"
 _FILE_NAME = "invariants.jsonl"
+# Bump when an engine's output or the record layout changes.
+CACHE_VERSION = 1
 
-__all__ = ["InvariantRecord", "ResultCache", "ENV_VAR", "key_string"]
+__all__ = ["InvariantRecord", "ResultCache", "ENV_VAR", "CACHE_VERSION", "key_string"]
 
 
 def key_string(key: tuple) -> str:
@@ -46,6 +52,7 @@ class InvariantRecord:
     signature: Optional[int] = None
     determinant: Optional[int] = None
     created: str = ""
+    version: Optional[int] = CACHE_VERSION
 
     @staticmethod
     def fresh(**kwargs) -> "InvariantRecord":
@@ -65,6 +72,7 @@ class InvariantRecord:
             "signature": self.signature,
             "determinant": self.determinant,
             "created": self.created,
+            "version": self.version,
         }
         return json.dumps(payload, sort_keys=True)
 
@@ -81,6 +89,7 @@ class InvariantRecord:
             signature=d.get("signature"),
             determinant=d.get("determinant"),
             created=d.get("created", ""),
+            version=d.get("version"),
         )
 
     def merged_with(self, other: "InvariantRecord") -> "InvariantRecord":
@@ -135,6 +144,8 @@ class ResultCache:
                 rec = InvariantRecord.from_json(line)
             except (json.JSONDecodeError, KeyError, ValueError) as exc:
                 warnings.warn(f"skipping corrupt cache line {lineno}: {exc}")
+                continue
+            if rec.version != CACHE_VERSION:
                 continue
             known = self._records.get(rec.canonical_key)
             self._records[rec.canonical_key] = (

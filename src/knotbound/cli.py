@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import braid
 from .braid import BraidWord, BraidError, parse_braid_word
-from .bounds import InvertedSpan, ParityError, kr_report, mfw_report
+from .bounds import InvertedSpan, ParityError, SpanOffLines, kr_report, mfw_report
 from .cache import ENV_VAR, InvariantRecord, ResultCache, key_string
 from .homfly import homfly
 from .khovanov import (
@@ -118,6 +118,8 @@ def _invariant_payload(
 
 def _cmd_invariants(args) -> int:
     if args.pd_file:
+        if args.homfly or args.seifert or args.all:
+            raise BraidError("--homfly, --seifert and --all need a braid word")
         try:
             with open(args.pd_file, encoding="utf-8") as fh:
                 text = fh.read()
@@ -320,7 +322,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (DisconnectedSurface, NotAKnot) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return PRECONDITION_ERROR
-    except (BraidError, ParityError, InvertedSpan) as exc:
+    except (BraidError, ParityError, InvertedSpan, SpanOffLines) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except OSError as exc:

@@ -7,14 +7,13 @@ degree -1 generator.  Gradings are normalised so the unknot has rank one
 at (0, 0) and the graded Euler characteristic reproduces the HOMFLYPT
 specialisation P(q^2, q).
 
-Ranks are computed degree by degree with exact sparse Gaussian elimination;
-entries start at +-1 and unit pivots are preferred, so arithmetic stays
-integral almost everywhere and falls back to rationals only when forced.
+Ranks are computed degree by degree by exact column reduction, the
+standard algorithm of persistent homology; entries start at +-1, so the
+arithmetic stays integral until a non-unit pivot forces a rational.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -38,8 +37,11 @@ class PlanarDiagram:
     """Planar diagram of an oriented link with one marked edge.
 
     Each crossing stores its four incident edges counterclockwise starting
-    at the incoming under-strand, plus the crossing sign.  Edges incident to
-    no crossing (split unknotted components) are listed in ``free_edges``.
+    at the incoming under-strand, plus the crossing sign.  Port 0 is
+    incoming and port 2 outgoing; port 3 is incoming at a positive crossing
+    and port 1 at a negative one.  Every edge at a crossing must come in
+    once and go out once.  Edges incident to no crossing (split unknotted
+    components) are listed in ``free_edges``.
     """
 
     crossings: tuple[tuple[tuple[int, int, int, int], int], ...]
@@ -49,18 +51,24 @@ class PlanarDiagram:
 
     def __post_init__(self):
         counts = [0] * self.n_edges
+        incoming = [0] * self.n_edges
         for ports, sign in self.crossings:
             if sign not in (1, -1):
                 raise BraidError(f"crossing sign must be +-1, got {sign}")
             for e in ports:
                 self._check_edge(e)
                 counts[e] += 1
+            incoming[ports[0]] += 1
+            incoming[ports[3] if sign > 0 else ports[1]] += 1
         for e in self.free_edges:
             self._check_edge(e)
             counts[e] += 2
         bad = [e for e, c in enumerate(counts) if c != 2]
         if bad:
             raise BraidError(f"edges {bad} do not appear exactly twice")
+        bad = sorted({e for p, _ in self.crossings for e in p if incoming[e] != 1})
+        if bad:
+            raise BraidError(f"edges {bad} are not incoming at exactly one port")
         if not (0 <= self.marked_edge < self.n_edges):
             raise BraidError("marked edge out of range")
 
@@ -252,74 +260,32 @@ def _quantum(vertex: int, count: int, mask: int, shift: int) -> int:
 def _rank_sparse(columns: dict[int, dict[int, int]]) -> int:
     """Rank over Q of a sparse integer matrix given column-wise.
 
-    Pivot selection walks a lazy heap of row sizes and prefers entries of
-    absolute value one in the sparsest rows (they keep all arithmetic
-    integral and bound fill-in); otherwise entries become Fractions.
+    Column reduction: a copy of each column is cleared against the stored
+    pivot column that owns its largest row, until it is zero or owns a new
+    largest row and becomes a pivot.  A unit pivot gives an integer factor,
+    any other a Fraction; integral Fractions turn back into ints.  The
+    input is not modified.
     """
-    rows: dict[int, dict[int, object]] = {}
-    col_rows: dict[int, set[int]] = {}
-    for c, col in columns.items():
-        for r, val in col.items():
-            rows.setdefault(r, {})[c] = val
-            col_rows.setdefault(c, set()).add(r)
-    heap = [(len(row), r) for r, row in rows.items()]
-    heapq.heapify(heap)
-    rank = 0
-    while rows:
-        # Sparsest still-valid row; stale heap entries are discarded lazily.
-        pivot = None
-        while heap:
-            nnz, r = heapq.heappop(heap)
-            row = rows.get(r)
-            if row is None:
-                continue
-            if len(row) != nnz:
-                heapq.heappush(heap, (len(row), r))
-                continue
-            best = None
-            for c, val in row.items():
-                score = (0 if val == 1 or val == -1 else 1, len(col_rows[c]))
-                if best is None or score < best:
-                    best = score
-                    pivot = (r, c, val)
-            break
-        if pivot is None:
-            break
-        r0, c0, v0 = pivot
-        rank += 1
-        prow = rows.pop(r0)
-        for c in prow:
-            col_rows[c].discard(r0)
-        targets = list(col_rows.pop(c0, ()))
-        touched = []
-        for r in targets:
-            row = rows[r]
-            val = row[c0]
-            if v0 == 1 or v0 == -1:
-                factor = val * v0  # val / v0 for unit pivots
-            else:
-                factor = Fraction(val, v0)
-            for c, pv in prow.items():
-                if c == c0:
-                    continue
-                nv = row.get(c, 0) - factor * pv
+    pivots: dict[int, dict[int, object]] = {}  # largest row -> pivot column
+    for column in columns.values():
+        col = {r: v for r, v in column.items() if v}
+        while col:
+            low = max(col)
+            pcol = pivots.get(low)
+            if pcol is None:
+                pivots[low] = col
+                break
+            v0, val = pcol[low], col[low]
+            factor = val * v0 if v0 == 1 or v0 == -1 else Fraction(val, v0)
+            for r, pv in pcol.items():
+                nv = col.get(r, 0) - factor * pv
                 if isinstance(nv, Fraction) and nv.denominator == 1:
                     nv = int(nv)
                 if nv:
-                    if c not in row:
-                        col_rows.setdefault(c, set()).add(r)
-                    row[c] = nv
-                elif c in row:
-                    del row[c]
-                    col_rows[c].discard(r)
-            del row[c0]
-            if not row:
-                del rows[r]
-            else:
-                touched.append(r)
-        for r in touched:
-            heapq.heappush(heap, (len(rows[r]), r))
-    return rank
+                    col[r] = nv
+                else:
+                    col.pop(r, None)
+    return len(pivots)
 
 
 def reduced_khovanov(pd: PlanarDiagram) -> BigradedRanks:

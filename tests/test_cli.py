@@ -1,8 +1,10 @@
 import json
+import warnings
 
 import pytest
 
-from knotbound.cache import InvariantRecord, ResultCache
+from knotbound.braid import canonical_closure_key, parse_braid_word
+from knotbound.cache import CACHE_VERSION, InvariantRecord, ResultCache, key_string
 from knotbound.cli import main
 
 
@@ -167,8 +169,10 @@ def test_emit_and_import_pd(tmp_path, capsys):
         ("X 0 1 1 0 +\nU\n", "exactly one edge id"),
         ("X 0 1 1 0 +\nM\n", "exactly one edge id"),
         ("X -1 0 1 2 +\nX 2 1 0 -1 +\nM 0\n", "out of range"),
+        # Edge counts are right, but edge 4 enters twice and edge 0 never.
+        ("X 3 4 1 0 -\nX 4 5 2 1 +\nX 5 3 0 2 +\nM 0\n", "edges [0, 4] are not incoming"),
     ],
-    ids=["non-integer-port", "bare-U", "bare-M", "negative-edge"],
+    ids=["non-integer-port", "bare-U", "bare-M", "negative-edge", "misoriented"],
 )
 def test_malformed_pd_file_exit_2(tmp_path, capsys, text, message):
     pd_file = tmp_path / "bad.pd"
@@ -200,6 +204,30 @@ def test_bounds_inverted_delta_span_exit_2(capsys):
     assert code == 2
     assert out == ""
     assert "delta_plus must be at least delta_minus" in err
+
+
+def test_bounds_span_off_diagram_lines_exit_2(capsys):
+    # elrifai-res 0 has writhe 5 on 3 strands: its lines are 3 and 7.
+    code, out, err = run(
+        capsys,
+        ["family", "elrifai-res", "--label", "0", "--emit", "bounds",
+         "--delta-minus", "1", "--delta-plus", "3"],
+    )
+    assert code == 2
+    assert out == ""
+    assert "leaves the diagram lines [3, 7]" in err
+
+
+def test_pd_file_refuses_braid_invariants_exit_2(tmp_path, capsys):
+    _, pd_text, _ = run(capsys, ["invariants", "1 1 1", "--strands", "2", "--emit-pd"])
+    pd_file = tmp_path / "trefoil.pd"
+    pd_file.write_text(pd_text)
+    code, out, err = run(
+        capsys, ["invariants", "--pd-file", str(pd_file), "--homfly", "--seifert"]
+    )
+    assert code == 2
+    assert out == ""
+    assert "need a braid word" in err
 
 
 # --- cache ---------------------------------------------------------------------
@@ -243,6 +271,26 @@ def test_cache_corrupt_line_skipped(tmp_path):
     cache = ResultCache(str(tmp_path))
     with pytest.warns(UserWarning):
         assert cache.load("k").signature == 0
+
+
+def test_cache_ignores_versionless_record(tmp_path, capsys):
+    w = parse_braid_word("1 1 1", 2)
+    stale = json.loads(InvariantRecord(
+        canonical_key=key_string(canonical_closure_key(w)), strands=2, writhe=3,
+        components=1, signature=99, determinant=99,
+    ).to_json())
+    del stale["version"]
+    path = tmp_path / "invariants.jsonl"
+    path.write_text(json.dumps(stale) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an old record is not a corrupt one
+        code, out, _ = run(capsys, ["invariants", "1 1 1", "--strands", "2", "--seifert",
+                                    "--json", "--cache-dir", str(tmp_path)])
+    assert code == 0
+    assert json.loads(out)["signature"] == 2
+    lines = path.read_text().splitlines()
+    assert len(lines) == 2
+    assert json.loads(lines[1])["version"] == CACHE_VERSION
 
 
 def test_cache_hit_report_identical(tmp_path, capsys):

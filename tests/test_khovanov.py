@@ -1,4 +1,9 @@
+import copy
 import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotbound.braid import (
     BraidWord,
@@ -10,6 +15,7 @@ from knotbound.braid import (
 )
 from knotbound.khovanov import (
     BigradedRanks,
+    _rank_sparse,
     braid_to_pd,
     pd_from_text,
     pd_to_text,
@@ -132,3 +138,46 @@ def test_split_components_handled():
     ranks = reduced_khovanov(braid_to_pd(w))
     assert ranks.total_rank() > 0
     assert euler_matches(w)
+
+
+# --- rank engine --------------------------------------------------------------
+
+def _dense_rank(columns):
+    """Rank by dense Fraction Gaussian elimination, one matrix row per column."""
+    rows = sorted({r for col in columns.values() for r in col})
+    m = [[Fraction(col.get(r, 0)) for r in rows] for col in columns.values()]
+    rank = 0
+    for c in range(len(rows)):
+        p = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[rank], m[p] = m[p], m[rank]
+        for i in range(rank + 1, len(m)):
+            f = m[i][c] / m[rank][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Integer matrices up to about 12x12 with entries in -3..3, column-wise;
+    stored zeros and empty columns occur, and some columns repeat an earlier
+    one times a scale."""
+    cols = draw(st.lists(
+        st.dictionaries(st.integers(0, 11), st.integers(-3, 3), max_size=12),
+        max_size=12,
+    ))
+    for i, scale in draw(st.lists(st.tuples(st.integers(0, 11), st.integers(-2, 2)),
+                                  max_size=3)):
+        if i < len(cols):
+            cols.append({r: scale * v for r, v in cols[i].items()})
+    return dict(enumerate(cols))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices())
+def test_rank_sparse_matches_dense_elimination(columns):
+    before = copy.deepcopy(columns)
+    assert _rank_sparse(columns) == _dense_rank(columns)
+    assert columns == before  # the benchmark tracer reads the columns afterwards
