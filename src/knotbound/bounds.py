@@ -12,7 +12,7 @@ interval propagation through skein triples) is exact arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .braid import BraidWord, EngineInconsistency, writhe
@@ -179,16 +179,8 @@ def kr_report(w: BraidWord, delta_minus: int, delta_plus: int) -> BoundReport:
             f"delta span [{delta_minus}, {delta_plus}] leaves the diagram lines "
             f"[{lower_line}, {upper_line}]"
         )
-    base = mfw_report(w)
-    return BoundReport(
-        word=w,
-        w_d=base.w_d,
-        b_d=base.b_d,
-        d_minus=base.d_minus,
-        d_plus=base.d_plus,
-        mfw_bound=base.mfw_bound,
-        mfw_sharp_lower=base.mfw_sharp_lower,
-        mfw_sharp_upper=base.mfw_sharp_upper,
+    return replace(
+        mfw_report(w),
         delta_minus=delta_minus,
         delta_plus=delta_plus,
         kr_bound=(delta_plus - delta_minus) // 2 + 1,

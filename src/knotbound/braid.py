@@ -6,19 +6,18 @@ sequence of nonzero integers: letter ``+i`` is the generator crossing strands
 (skein trees, Seifert surfaces, resolution cubes) consumes this one
 representation.
 
-Word equality is decided through the left-greedy Garside normal form
-Delta^d p_1 ... p_k, with each canonical factor a permutation braid encoded
-by its permutation in one-line notation.  The normal form doubles as the
-memoisation key for closure invariants: the canonical closure key of a word
-is the lexicographically least normal form over all cyclic rotations of the
-cyclically reduced word, which identifies words that are conjugate in B_n.
+Braid equality in B_n, which only destabilization needs, is decided through
+the left-greedy Garside normal form Delta^d p_1 ... p_k, with each canonical
+factor a permutation braid encoded by its permutation in one-line notation.
+The result cache keys a closure at the word level, by the least cyclic
+rotation of the cyclically reduced word, so it needs no normal form.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 __all__ = [
     "BraidWord",
@@ -287,9 +286,6 @@ class GarsideNormalForm:
             word.extend(permutation_braid_word(f))
         return tuple(word)
 
-    def as_key(self) -> tuple:
-        return (self.strands, self.infimum, self.factors)
-
 
 def _left_weight(factors: list[Perm], n: int) -> None:
     """Slide generators leftward until every adjacent pair is left-weighted."""
@@ -344,76 +340,43 @@ def garside_normal_form(w: BraidWord) -> GarsideNormalForm:
         infimum += 1
     while factors and factors[-1] == ident:
         factors.pop()
-    # Delta factors surface as a prefix after left-weighting; sweep once more
-    # in case stripping exposed new ones.
-    while factors and factors[0] == delta:
-        factors.pop(0)
-        infimum += 1
     return GarsideNormalForm(n, infimum, tuple(factors))
 
 
 def canonical_closure_key(w: BraidWord) -> tuple:
-    """Conjugacy-stable memo key for the closure of w.
+    """Word-level cache key for the closure of w.
 
-    Lexicographically least normal form over all cyclic rotations of the
-    cyclically reduced word.  Equal keys imply conjugate braids, hence equal
-    closures; distinct conjugate words may still get distinct keys, which
-    only costs cache hits, never correctness.
+    The strand count and the least cyclic rotation of the cyclically reduced
+    word.  Conjugating w by any word and cyclically reducing gives a rotation
+    of ``cyclic_reduce(w)``, so rotations and conjugates share a key, and
+    equal keys imply conjugate braids, hence equal closures.  Words equal
+    only through braid relations (``1 2 1`` and ``2 1 2``) get distinct keys,
+    which costs cache hits, never correctness.
     """
-    r = cyclic_reduce(w)
-    letters = r.letters
-    if not letters:
-        return GarsideNormalForm(w.strands, 0, ()).as_key()
-    best = None
-    for shift in range(len(letters)):
-        rotated = r.with_letters(letters[shift:] + letters[:shift])
-        key = garside_normal_form(rotated).as_key()
-        if best is None or key < best:
-            best = key
-    return best
+    letters = cyclic_reduce(w).letters
+    rotations = (letters[s:] + letters[:s] for s in range(len(letters)))
+    return (w.strands, min(rotations, default=()))
 
 
 # ---------------------------------------------------------------------------
 # Markov destabilization
 
 
-def _single_occurrence_candidates(w: BraidWord):
-    """Yield (letters, index) where the top generator appears exactly once."""
-    top = w.strands - 1
-    letters = cyclic_reduce(w).letters
-    hits = [k for k, e in enumerate(letters) if abs(e) == top]
-    if len(hits) == 1:
-        yield letters, hits[0]
-
-
-def destabilize(
-    w: BraidWord, certificate: Optional[BraidWord] = None
-) -> tuple[BraidWord, int]:
+def destabilize(w: BraidWord) -> tuple[BraidWord, int]:
     """Remove one strand by a Markov destabilization.
 
-    Searches cyclic rotations of the free-reduced word, then conjugates by
-    every permutation braid (and its inverse) of B_n, examining both the raw
-    reduced letters and the normal-form word of each conjugate.  A caller
-    may pass a conjugating ``certificate`` word to extend the search.
-    Returns the (n-1)-strand word and the sign of the removed crossing.
+    Looks for a conjugate of w in which sigma_{n-1}^{+-1} occurs exactly
+    once.  Each cyclic rotation of the cyclically reduced word is conjugated
+    by the empty word and by every permutation braid of B_n and its inverse;
+    both the cyclic reduction of each conjugate and that of its Garside
+    normal-form word are examined, in that order.  Returns the
+    (n-1)-strand word and the sign of the removed crossing.
     """
     n = w.strands
     if n < 2:
         raise NotDestabilizable("nothing to destabilize on one strand")
     top = n - 1
 
-    def try_word(word: BraidWord):
-        for letters, k in _single_occurrence_candidates(word):
-            sign = 1 if letters[k] > 0 else -1
-            rest = letters[:k] + letters[k + 1:]
-            return BraidWord(n - 1, rest), sign
-        return None
-
-    bases = [w]
-    if certificate is not None:
-        bases.append(conjugate(w, certificate))
-
-    seen: set[tuple[int, ...]] = set()
     conjugators = [BraidWord(n, ())]
     for p in itertools.permutations(range(n)):
         word = permutation_braid_word(p)
@@ -421,25 +384,22 @@ def destabilize(
             conjugators.append(BraidWord(n, word))
             conjugators.append(BraidWord(n, tuple(-e for e in reversed(word))))
 
-    for base in bases:
-        reduced = cyclic_reduce(base)
-        rotations = [
-            reduced.with_letters(reduced.letters[s:] + reduced.letters[:s])
-            for s in range(max(1, len(reduced.letters)))
-        ]
-        for rotated in rotations:
-            for c in conjugators:
-                v = conjugate(rotated, c)
-                candidates = [cyclic_reduce(v)]
-                nf_word = garside_normal_form(v).artin_word()
-                candidates.append(cyclic_reduce(BraidWord(n, nf_word)))
-                for cand in candidates:
-                    if cand.letters in seen:
-                        continue
-                    seen.add(cand.letters)
-                    found = try_word(cand)
-                    if found is not None:
-                        return found
+    reduced = cyclic_reduce(w).letters
+    seen: set[tuple[int, ...]] = set()
+    for s in range(max(1, len(reduced))):
+        rotated = BraidWord(n, reduced[s:] + reduced[:s])
+        for c in conjugators:
+            v = conjugate(rotated, c)
+            nf_word = BraidWord(n, garside_normal_form(v).artin_word())
+            for letters in (cyclic_reduce(v).letters, cyclic_reduce(nf_word).letters):
+                if letters in seen:
+                    continue
+                seen.add(letters)
+                hits = [k for k, e in enumerate(letters) if abs(e) == top]
+                if len(hits) == 1:
+                    k = hits[0]
+                    sign = 1 if letters[k] > 0 else -1
+                    return BraidWord(n - 1, letters[:k] + letters[k + 1:]), sign
     raise NotDestabilizable(
         f"no representative with a single sigma_{top}^{{+-1}} found"
     )

@@ -1,4 +1,4 @@
-"""Advisory JSON-lines result cache keyed by the canonical closure key.
+"""Advisory JSON-lines result cache keyed by a word-level closure key.
 
 One record per closure, append-only with dedupe on store; a corrupted line
 is skipped with a warning and never aborts a computation.  Every record
@@ -23,7 +23,7 @@ from typing import Optional
 ENV_VAR = "KNOTBOUND_CACHE"
 _FILE_NAME = "invariants.jsonl"
 # Bump when an engine's output or the record layout changes.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 __all__ = ["InvariantRecord", "ResultCache", "ENV_VAR", "CACHE_VERSION", "key_string"]
 

@@ -63,7 +63,7 @@ def _invariant_payload(
     want_seifert: bool,
     cache: ResultCache,
 ) -> dict:
-    # The conjugacy-stable key costs Garside normal forms; only the cache needs it.
+    # Only the cache needs the closure key (least rotation of the cyclic reduction).
     key = key_string(braid.canonical_closure_key(w)) if cache.enabled else None
     record = cache.load(key) if cache.enabled else None
     homfly_payload: Optional[dict] = None
@@ -118,8 +118,9 @@ def _invariant_payload(
 
 def _cmd_invariants(args) -> int:
     if args.pd_file:
-        if args.homfly or args.seifert or args.all:
-            raise BraidError("--homfly, --seifert and --all need a braid word")
+        if (args.word or args.strands is not None or args.homfly or args.seifert
+                or args.all or args.emit_pd or args.cache_dir):
+            raise BraidError("--pd-file takes only --khovanov and --json")
         try:
             with open(args.pd_file, encoding="utf-8") as fh:
                 text = fh.read()

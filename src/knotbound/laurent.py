@@ -201,14 +201,6 @@ class AQPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AQPolynomial):
-            return NotImplemented
-        return self.terms == other.terms and self.clearing == other.clearing
-
-    def __hash__(self):
-        return hash((self.terms, self.clearing))
-
     def q_polynomial_at_a(self, e_subst: int) -> LaurentPoly1:
         """Substitute a = q^{e_subst} into the stored polynomial."""
         d: dict[int, int] = {}

@@ -72,11 +72,6 @@ class SeifertData:
         v = self.matrix
         return [[v[i][j] + v[j][i] for j in range(m)] for i in range(m)]
 
-    def antisymmetrized(self) -> list[list[int]]:
-        m = self.size
-        v = self.matrix
-        return [[v[i][j] - v[j][i] for j in range(m)] for i in range(m)]
-
 
 def seifert_matrix(w: BraidWord) -> SeifertData:
     """Seifert matrix of the disk-and-band surface of the closure of w."""

@@ -222,12 +222,18 @@ def test_pd_file_refuses_braid_invariants_exit_2(tmp_path, capsys):
     _, pd_text, _ = run(capsys, ["invariants", "1 1 1", "--strands", "2", "--emit-pd"])
     pd_file = tmp_path / "trefoil.pd"
     pd_file.write_text(pd_text)
-    code, out, err = run(
-        capsys, ["invariants", "--pd-file", str(pd_file), "--homfly", "--seifert"]
-    )
-    assert code == 2
-    assert out == ""
-    assert "need a braid word" in err
+    cache_dir = tmp_path / "cache"
+    for extra in (
+        ["--homfly", "--seifert"],
+        ["1 2 1 2", "--strands", "3", "--khovanov"],
+        ["--khovanov", "--emit-pd"],
+        ["--khovanov", "--cache-dir", str(cache_dir)],
+    ):
+        code, out, err = run(capsys, ["invariants", "--pd-file", str(pd_file)] + extra)
+        assert code == 2, extra
+        assert out == ""
+        assert "--pd-file takes only --khovanov and --json" in err
+    assert not cache_dir.exists()
 
 
 # --- cache ---------------------------------------------------------------------
@@ -291,6 +297,23 @@ def test_cache_ignores_versionless_record(tmp_path, capsys):
     lines = path.read_text().splitlines()
     assert len(lines) == 2
     assert json.loads(lines[1])["version"] == CACHE_VERSION
+
+
+def test_cache_key_needs_no_normal_form(tmp_path, capsys, monkeypatch):
+    def refuse(w):
+        raise RuntimeError("the cache key must not compute a Garside normal form")
+
+    monkeypatch.setattr("knotbound.braid.garside_normal_form", refuse)
+    payloads = []
+    # The figure-eight word and its conjugate by sigma_2.
+    for word in ("1 -2 1 -2", "2 1 -2 1 -2 -2"):
+        code, out, _ = run(capsys, ["invariants", word, "--strands", "3", "--homfly",
+                                    "--seifert", "--json", "--cache-dir", str(tmp_path)])
+        assert code == 0
+        payloads.append(json.loads(out))
+    for field in ("homfly", "signature", "determinant"):
+        assert payloads[0][field] == payloads[1][field]
+    assert len((tmp_path / "invariants.jsonl").read_text().splitlines()) == 1
 
 
 def test_cache_hit_report_identical(tmp_path, capsys):
