@@ -2,7 +2,6 @@
 
 from .braid import (
     BraidWord,
-    FamilySpec,
     QPFactorization,
     BraidError,
     NotDestabilizable,
@@ -14,7 +13,6 @@ from .braid import (
     garside_normal_form,
     canonical_closure_key,
     destabilize,
-    family_word,
     expand_qp,
     g4_from_qp,
 )

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 __all__ = [
     "BraidWord",
     "GarsideNormalForm",
-    "FamilySpec",
     "QPFactorization",
     "BraidError",
     "NotDestabilizable",
@@ -39,7 +38,7 @@ __all__ = [
     "garside_normal_form",
     "canonical_closure_key",
     "destabilize",
-    "family_word",
+    "FAMILIES",
     "elrifai_k_word",
     "elrifai_l_word",
     "bm_word",
@@ -423,24 +422,6 @@ _RESOLUTION_WORDS: dict[str, tuple[int, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Selector for the built-in braid families.
-
-    kind is one of ``elrifai-k``, ``elrifai-l``, ``bm``, ``torus2``,
-    ``elrifai-res``; the parameter fields that apply depend on the kind.
-    """
-
-    kind: str
-    k: int = 0
-    x: int = 0
-    y: int = 0
-    z: int = 0
-    w: int = 0
-    q: int = 0
-    label: str = ""
-
-
 def _power(gen: int, exponent: int) -> tuple[int, ...]:
     """sigma_gen^exponent as letters; negative exponents expand to inverses."""
     if exponent >= 0:
@@ -530,19 +511,15 @@ def resolution_word(label: str) -> BraidWord:
     return BraidWord(3, _RESOLUTION_WORDS[label])
 
 
-def family_word(spec: FamilySpec) -> BraidWord:
-    """The literal braid word of a family member."""
-    if spec.kind == "elrifai-k":
-        return elrifai_k_word(spec.k)
-    if spec.kind == "elrifai-l":
-        return elrifai_l_word(spec.k)
-    if spec.kind == "bm":
-        return bm_word(spec.x, spec.y, spec.z, spec.w)
-    if spec.kind == "torus2":
-        return torus2_word(spec.q)
-    if spec.kind == "elrifai-res":
-        return resolution_word(spec.label)
-    raise BraidError(f"unknown family kind {spec.kind!r}")
+# Family kind -> (word builder, its parameter names, which are also the
+# CLI's option names).
+FAMILIES: dict[str, tuple[Callable[..., BraidWord], tuple[str, ...]]] = {
+    "elrifai-k": (elrifai_k_word, ("k",)),
+    "elrifai-l": (elrifai_l_word, ("k",)),
+    "bm": (bm_word, ("x", "y", "z", "w")),
+    "torus2": (torus2_word, ("q",)),
+    "elrifai-res": (resolution_word, ("label",)),
+}
 
 
 # ---------------------------------------------------------------------------

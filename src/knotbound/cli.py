@@ -6,24 +6,28 @@ planar diagram), ``family`` (built-in braid families), ``bounds``
 suite), ``cache`` (inspect or clear the result cache).
 
 Exit codes: 0 success, 1 failed verification claim, 2 usage or parse
-error, 3 precondition failure (e.g. a disconnected Seifert surface).
+error, 3 precondition failure (e.g. a disconnected Seifert surface, or a
+diagram over the Khovanov crossing budget).
 JSON output is deterministic: same input, byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from dataclasses import asdict, replace
 from typing import Optional
 
 from . import braid
 from .braid import BraidWord, BraidError, parse_braid_word
 from .bounds import InvertedSpan, ParityError, SpanOffLines, kr_report, mfw_report
-from .cache import ENV_VAR, InvariantRecord, ResultCache, key_string
+from .cache import ENV_VAR, INVARIANTS, InvariantRecord, ResultCache, key_string
 from .homfly import homfly
 from .khovanov import (
     BigradedRanks,
+    TooManyCrossings,
     braid_to_pd,
     pd_from_text,
     pd_to_text,
@@ -56,63 +60,43 @@ def _emit(payload: dict, as_json: bool) -> None:
         print(f"{key}: {value}")
 
 
-def _invariant_payload(
-    w: BraidWord,
-    want_homfly: bool,
-    want_khovanov: bool,
-    want_seifert: bool,
-    cache: ResultCache,
-) -> dict:
+def _compute(name: str, w: BraidWord):
+    """One invariant of the closure of ``w``, in its cache-record form."""
+    if name == "homfly":
+        aq = to_aq(homfly(w))
+        return {"terms": aq.triples(), "clearing": aq.clearing}
+    if name == "khovanov":
+        return reduced_khovanov(braid_to_pd(w)).triples()
+    return signature(w) if name == "signature" else determinant(w)
+
+
+def _invariant_payload(w: BraidWord, wanted: tuple[str, ...], cache: ResultCache) -> dict:
+    """Render the ``wanted`` invariants (names from ``INVARIANTS``), each
+    computed only if the cached record of the closure lacks it."""
     # Only the cache needs the closure key (least rotation of the cyclic reduction).
     key = key_string(braid.canonical_closure_key(w)) if cache.enabled else None
     record = cache.load(key) if cache.enabled else None
-    homfly_payload: Optional[dict] = None
-    kh_payload: Optional[list] = None
-    sig: Optional[int] = None
-    det: Optional[int] = None
-    if record is not None:
-        homfly_payload = record.homfly
-        kh_payload = record.khovanov
-        sig, det = record.signature, record.determinant
-    if want_homfly and homfly_payload is None:
-        aq = to_aq(homfly(w))
-        homfly_payload = {"terms": aq.triples(), "clearing": aq.clearing}
-    if want_khovanov and kh_payload is None:
-        kh_payload = reduced_khovanov(braid_to_pd(w)).triples()
-    if want_seifert and (sig is None or det is None):
-        sig = signature(w)
-        det = determinant(w)
-    if cache.enabled:
-        cache.store(
-            InvariantRecord.fresh(
-                canonical_key=key,
-                strands=w.strands,
-                writhe=braid.writhe(w),
-                components=braid.closure_components(w),
-                homfly=homfly_payload,
-                khovanov=kh_payload,
-                signature=sig,
-                determinant=det,
-            )
+    if record is None:
+        record = InvariantRecord.fresh(
+            canonical_key=key, strands=w.strands, writhe=braid.writhe(w),
+            components=braid.closure_components(w),
         )
-    payload: dict = {
-        "word": str(w),
-        "strands": w.strands,
-        "writhe": braid.writhe(w),
-        "components": braid.closure_components(w),
-    }
-    if want_homfly:
-        aq = AQPolynomial.from_dict(
-            {(ea, eq): c for ea, eq, c in homfly_payload["terms"]},
-            homfly_payload["clearing"],
-        )
-        payload["homfly"] = _aq_payload(aq)
-    if want_khovanov:
-        ranks = BigradedRanks.from_dict({(i, j): r for i, j, r in kh_payload})
-        payload["khovanov"] = _kh_payload(ranks)
-    if want_seifert:
-        payload["signature"] = sig
-        payload["determinant"] = det
+    missing = {n: _compute(n, w) for n in wanted if getattr(record, n) is None}
+    if missing:
+        record = replace(record, **missing)
+        if cache.enabled:
+            cache.store(record)
+    payload: dict = {"word": str(w), "strands": record.strands,
+                     "writhe": record.writhe, "components": record.components}
+    for name in wanted:
+        value = getattr(record, name)
+        if name == "homfly":
+            value = _aq_payload(AQPolynomial.from_dict(
+                {(ea, eq): c for ea, eq, c in value["terms"]}, value["clearing"]
+            ))
+        elif name == "khovanov":
+            value = _kh_payload(BigradedRanks.from_dict({(i, j): r for i, j, r in value}))
+        payload[name] = value
     return payload
 
 
@@ -126,47 +110,25 @@ def _cmd_invariants(args) -> int:
                 text = fh.read()
         except UnicodeDecodeError as exc:
             raise BraidError(f"{args.pd_file} is not UTF-8 text: {exc.reason}") from None
-        pd = pd_from_text(text)
-        ranks = reduced_khovanov(pd)
-        _emit({"khovanov": _kh_payload(ranks)}, args.json)
+        _emit({"khovanov": _kh_payload(reduced_khovanov(pd_from_text(text)))}, args.json)
         return 0
     w = parse_braid_word(args.word, args.strands)
     if args.emit_pd:
         sys.stdout.write(pd_to_text(braid_to_pd(w)))
         return 0
-    want_h = args.homfly or args.all
-    want_k = args.khovanov or args.all
-    want_s = args.seifert or args.all
-    if not (want_h or want_k or want_s):
-        want_h = True
-    cache = ResultCache(args.cache_dir)
-    payload = _invariant_payload(w, want_h, want_k, want_s, cache)
-    _emit(payload, args.json)
+    chosen = {"homfly": args.homfly, "khovanov": args.khovanov,
+              "signature": args.seifert, "determinant": args.seifert}
+    wanted = tuple(n for n in INVARIANTS if args.all or chosen[n]) or ("homfly",)
+    _emit(_invariant_payload(w, wanted, ResultCache(args.cache_dir)), args.json)
     return 0
 
 
 def _family_from_args(args) -> BraidWord:
-    kind = args.kind
-    if kind in ("elrifai-k", "elrifai-l"):
-        if args.k is None:
-            raise BraidError(f"{kind} requires --k")
-        return braid.family_word(braid.FamilySpec(kind=kind, k=args.k))
-    if kind == "bm":
-        params = (args.x, args.y, args.z, args.w)
-        if any(v is None for v in params):
-            raise BraidError("bm requires --x --y --z --w")
-        return braid.family_word(
-            braid.FamilySpec(kind=kind, x=args.x, y=args.y, z=args.z, w=args.w)
-        )
-    if kind == "torus2":
-        if args.q is None:
-            raise BraidError("torus2 requires --q")
-        return braid.family_word(braid.FamilySpec(kind=kind, q=args.q))
-    if kind == "elrifai-res":
-        if args.label is None:
-            raise BraidError("elrifai-res requires --label")
-        return braid.family_word(braid.FamilySpec(kind=kind, label=args.label))
-    raise BraidError(f"unknown family {kind!r}")
+    build, params = braid.FAMILIES[args.kind]
+    values = [getattr(args, p) for p in params]
+    if None in values:
+        raise BraidError(f"{args.kind} requires " + " ".join(f"--{p}" for p in params))
+    return build(*values)
 
 
 def _bound_payload(w: BraidWord, delta_minus, delta_plus) -> dict:
@@ -186,19 +148,16 @@ def _cmd_family(args) -> int:
             print(str(w))
         return 0
     if args.emit == "invariants":
-        cache = ResultCache(args.cache_dir)
-        payload = _invariant_payload(w, True, True, True, cache)
-        _emit(payload, args.json)
-        return 0
-    payload = _bound_payload(w, args.delta_minus, args.delta_plus)
+        payload = _invariant_payload(w, INVARIANTS, ResultCache(args.cache_dir))
+    else:
+        payload = _bound_payload(w, args.delta_minus, args.delta_plus)
     _emit(payload, args.json)
     return 0
 
 
 def _cmd_bounds(args) -> int:
     w = parse_braid_word(args.word, args.strands)
-    payload = _bound_payload(w, args.delta_minus, args.delta_plus)
-    _emit(payload, args.json)
+    _emit(_bound_payload(w, args.delta_minus, args.delta_plus), args.json)
     return 0
 
 
@@ -218,36 +177,27 @@ def _cmd_verify(args) -> int:
 def _cmd_cache(args) -> int:
     cache = ResultCache(args.cache_dir)
     if not cache.enabled:
-        print(
-            f"no cache directory configured (use --cache-dir or {ENV_VAR})",
-            file=sys.stderr,
-        )
+        print(f"no cache directory configured (use --cache-dir or {ENV_VAR})",
+              file=sys.stderr)
         return USAGE_ERROR
     if args.action == "clear":
         cache.clear()
         return 0
     records = cache.records()
     if args.json:
-        print(json.dumps([json.loads(r.to_json()) for r in records], sort_keys=True))
+        print(json.dumps([asdict(r) for r in records], sort_keys=True))
     else:
         for r in records:
-            fields = [
-                name
-                for name, val in (
-                    ("homfly", r.homfly),
-                    ("khovanov", r.khovanov),
-                    ("signature", r.signature),
-                    ("determinant", r.determinant),
-                )
-                if val is not None
-            ]
+            fields = [name for name in INVARIANTS if getattr(r, name) is not None]
             print(f"{r.canonical_key}  strands={r.strands} writhe={r.writhe} "
                   f"components={r.components} fields={','.join(fields) or '-'}")
         print(f"{len(records)} record(s)")
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process (``parse_args`` leaves it as is)."""
     parser = argparse.ArgumentParser(
         prog="knotbound",
         description="Braid-closure knot invariants and braid-index bounds.",
@@ -270,15 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.set_defaults(func=_cmd_invariants)
 
     p_fam = sub.add_parser("family", help="built-in braid families")
-    p_fam.add_argument(
-        "kind", choices=["elrifai-k", "elrifai-l", "bm", "torus2", "elrifai-res"]
-    )
-    p_fam.add_argument("--k", type=int, default=None)
-    p_fam.add_argument("--x", type=int, default=None)
-    p_fam.add_argument("--y", type=int, default=None)
-    p_fam.add_argument("--z", type=int, default=None)
-    p_fam.add_argument("--w", type=int, default=None)
-    p_fam.add_argument("--q", type=int, default=None)
+    p_fam.add_argument("kind", choices=list(braid.FAMILIES))
+    for name in "kxyzwq":
+        p_fam.add_argument(f"--{name}", type=int, default=None)
     p_fam.add_argument("--label", default=None, choices=list(braid.RESOLUTION_LABELS))
     p_fam.add_argument("--emit", choices=["word", "invariants", "bounds"], default="word")
     p_fam.add_argument("--delta-minus", type=int, default=None)
@@ -310,9 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     if args.command == "invariants" and not args.pd_file and args.strands is None:
@@ -320,13 +263,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return USAGE_ERROR
     try:
         return args.func(args)
-    except (DisconnectedSurface, NotAKnot) as exc:
+    except (DisconnectedSurface, NotAKnot, TooManyCrossings) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return PRECONDITION_ERROR
-    except (BraidError, ParityError, InvertedSpan, SpanOffLines) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except OSError as exc:
+    except (BraidError, ParityError, InvertedSpan, SpanOffLines, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -30,7 +30,17 @@ __all__ = [
     "euler_polynomial",
     "pd_to_text",
     "pd_from_text",
+    "TooManyCrossings",
+    "MAX_CROSSINGS",
 ]
+
+# Most crossings reduced_khovanov accepts: its cube has 2^c vertices.
+MAX_CROSSINGS = 16
+
+
+class TooManyCrossings(BraidError):
+    """The diagram has more crossings than the cube engine's budget."""
+
 
 @dataclass(frozen=True)
 class PlanarDiagram:
@@ -50,18 +60,28 @@ class PlanarDiagram:
     free_edges: tuple[int, ...] = ()
 
     def __post_init__(self):
-        counts = [0] * self.n_edges
-        incoming = [0] * self.n_edges
         for ports, sign in self.crossings:
             if sign not in (1, -1):
                 raise BraidError(f"crossing sign must be +-1, got {sign}")
             for e in ports:
                 self._check_edge(e)
+        for e in self.free_edges:
+            self._check_edge(e)
+        # Each edge meets two ports, so this holds before any per-edge list.
+        expected = 2 * len(self.crossings) + len(self.free_edges)
+        if self.n_edges != expected:
+            raise BraidError(
+                f"{self.n_edges} edge ids for {len(self.crossings)} crossings and "
+                f"{len(self.free_edges)} free circles; expected {expected}"
+            )
+        counts = [0] * self.n_edges
+        incoming = [0] * self.n_edges
+        for ports, sign in self.crossings:
+            for e in ports:
                 counts[e] += 1
             incoming[ports[0]] += 1
             incoming[ports[3] if sign > 0 else ports[1]] += 1
         for e in self.free_edges:
-            self._check_edge(e)
             counts[e] += 2
         bad = [e for e, c in enumerate(counts) if c != 2]
         if bad:
@@ -289,8 +309,14 @@ def _rank_sparse(columns: dict[int, dict[int, int]]) -> int:
 
 
 def reduced_khovanov(pd: PlanarDiagram) -> BigradedRanks:
-    """Reduced Khovanov homology ranks of the diagram, over the rationals."""
+    """Reduced Khovanov homology ranks of the diagram, over the rationals.
+
+    Raises ``TooManyCrossings`` above ``MAX_CROSSINGS``, before the cube's
+    2^c vertices are built.
+    """
     nc = len(pd.crossings)
+    if nc > MAX_CROSSINGS:
+        raise TooManyCrossings(f"{nc} crossings exceed the cube budget of {MAX_CROSSINGS}")
     n_plus, n_minus = pd.signs()
     circles = [_vertex_circles(pd, v) for v in range(1 << nc)]
     # Shifts the quantum grading so the reduced unknot sits at zero.

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from knotbound.braid import (
     BraidError,
     BraidWord,
-    FamilySpec,
+    FAMILIES,
     NotDestabilizable,
     QPFactorization,
     bm_minus_word,
@@ -20,7 +20,6 @@ from knotbound.braid import (
     elrifai_k_word,
     elrifai_l_word,
     expand_qp,
-    family_word,
     free_reduce,
     g4_from_qp,
     garside_normal_form,
@@ -217,19 +216,25 @@ def test_destabilize_restabilize_roundtrip():
 
 # --- families ----------------------------------------------------------------
 
+def family(kind, **params):
+    build, names = FAMILIES[kind]
+    assert set(params) == set(names)
+    return build(*(params[n] for n in names))
+
+
 def test_family_elrifai_k1():
-    assert family_word(FamilySpec(kind="elrifai-k", k=1)).letters == (
+    assert family("elrifai-k", k=1).letters == (
         1, 2, 2, 1, 1, 2, 2, 1, 1, -2, -2, -2,
     )
 
 
 def test_family_torus2():
-    w = family_word(FamilySpec(kind="torus2", q=3))
+    w = family("torus2", q=3)
     assert w.strands == 2 and w.letters == (1, 1, 1)
 
 
 def test_family_bm():
-    w = family_word(FamilySpec(kind="bm", x=1, y=1, z=1, w=1))
+    w = family("bm", x=1, y=1, z=1, w=1)
     assert w.strands == 4 and w.letters == (1, 2, -3, 2, 1, 2, 3, 2, 2, 3)
 
 
@@ -248,8 +253,6 @@ def test_family_validation():
         elrifai_k_word(0)
     with pytest.raises(BraidError):
         resolution_word("0+")
-    with pytest.raises(BraidError):
-        family_word(FamilySpec(kind="nope"))
 
 
 def test_resolution_words_match_family():

@@ -1,11 +1,25 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from knotbound import khovanov
 from knotbound.braid import canonical_closure_key, parse_braid_word
-from knotbound.cache import CACHE_VERSION, InvariantRecord, ResultCache, key_string
-from knotbound.cli import main
+from knotbound.cache import (
+    CACHE_VERSION,
+    INVARIANTS,
+    InvariantRecord,
+    ResultCache,
+    key_string,
+)
+from knotbound.cli import build_parser, main
 
 
 KSTAR_TEXT = "1 2 2 1 1 2 2 1 1 -2 -2 -2"
@@ -80,6 +94,15 @@ def test_family_torus_bounds_sharp(capsys):
 def test_family_missing_parameter(capsys):
     code, _, _ = run(capsys, ["family", "elrifai-k", "--emit", "word"])
     assert code == 2
+
+
+def test_family_unknown_kind_exit_2(capsys):
+    code, out, _ = run(capsys, ["family", "nope"])
+    assert (code, out) == (2, "")
+
+
+def test_parser_built_once():
+    assert build_parser() is build_parser()
 
 
 def test_bounds_with_deltas(capsys):
@@ -171,8 +194,12 @@ def test_emit_and_import_pd(tmp_path, capsys):
         ("X -1 0 1 2 +\nX 2 1 0 -1 +\nM 0\n", "out of range"),
         # Edge counts are right, but edge 4 enters twice and edge 0 never.
         ("X 3 4 1 0 -\nX 4 5 2 1 +\nX 5 3 0 2 +\nM 0\n", "edges [0, 4] are not incoming"),
+        # Checked before per-edge lists, so no message lists 100k edge ids.
+        ("X 0 1 1 99999 +\nM 0\n",
+         "100000 edge ids for 1 crossings and 0 free circles; expected 2"),
     ],
-    ids=["non-integer-port", "bare-U", "bare-M", "negative-edge", "misoriented"],
+    ids=["non-integer-port", "bare-U", "bare-M", "negative-edge", "misoriented",
+         "sparse-edge-ids"],
 )
 def test_malformed_pd_file_exit_2(tmp_path, capsys, text, message):
     pd_file = tmp_path / "bad.pd"
@@ -183,6 +210,44 @@ def test_malformed_pd_file_exit_2(tmp_path, capsys, text, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+def test_pd_edge_count_checked_before_allocation(tmp_path):
+    # One crossing names edge 300000000: the edge count must refuse it before
+    # per-edge lists of that length are built, here under a 1 GiB address limit.
+    pd_file = tmp_path / "huge.pd"
+    pd_file.write_text("X 0 1 1 300000000 +\nM 0\n")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "knotbound.cli", "invariants", "--pd-file", str(pd_file),
+         "--khovanov"],
+        capture_output=True, text=True, preexec_fn=limit_memory, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(khovanov.__file__).parents[1])},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "300000001 edge ids for 1 crossings and 0 free circles; expected 2" in proc.stderr
+
+
+def test_crossing_budget_exit_3(tmp_path, capsys, monkeypatch):
+    def refuse(pd, vertex):
+        raise RuntimeError("the cube must not be built")
+
+    monkeypatch.setattr(khovanov, "_vertex_circles", refuse)
+    over = " ".join(["1"] * (khovanov.MAX_CROSSINGS + 1))
+    code, out, err = run(capsys, ["invariants", over, "--strands", "2", "--khovanov"])
+    assert (code, out) == (3, "")
+    assert f"{khovanov.MAX_CROSSINGS + 1} crossings exceed" in err
+    pd_file = tmp_path / "over.pd"
+    pd_file.write_text(khovanov.pd_to_text(khovanov.braid_to_pd(parse_braid_word(over, 2))))
+    code, out, err = run(capsys, ["invariants", "--pd-file", str(pd_file), "--khovanov"])
+    assert (code, out) == (3, "")
+    # A diagram at the budget goes on to build the cube.
+    at = parse_braid_word(" ".join(["1"] * khovanov.MAX_CROSSINGS), 2)
+    with pytest.raises(RuntimeError, match="must not be built"):
+        khovanov.reduced_khovanov(khovanov.braid_to_pd(at))
 
 
 def test_non_utf8_pd_file_exit_2(tmp_path, capsys):
@@ -297,6 +362,98 @@ def test_cache_ignores_versionless_record(tmp_path, capsys):
     lines = path.read_text().splitlines()
     assert len(lines) == 2
     assert json.loads(lines[1])["version"] == CACHE_VERSION
+
+
+TREFOIL_KEY = key_string(canonical_closure_key(parse_braid_word("1 1 1", 2)))
+TREFOIL_LINE = json.loads(InvariantRecord(
+    canonical_key=TREFOIL_KEY, strands=2, writhe=3, components=1,
+).to_json())
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        [],
+        None,
+        {**TREFOIL_LINE, "strands": None},
+        {**TREFOIL_LINE, "canonical_key": ["x"]},
+        {**TREFOIL_LINE, "homfly": 5},
+        {**TREFOIL_LINE, "homfly": {"terms": [[0, 0]], "clearing": 0}},
+        {**TREFOIL_LINE, "khovanov": [[0, 0, "1"]]},
+    ],
+    ids=["list", "null", "null-strands", "list-key", "int-homfly", "short-term",
+         "string-rank"],
+)
+def test_cache_malformed_line_recomputed(tmp_path, capsys, line):
+    argv = ["invariants", "1 1 1", "--strands", "2", "--all", "--json"]
+    _, direct, _ = run(capsys, argv)
+    path = tmp_path / "invariants.jsonl"
+    path.write_text(json.dumps(line) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run(capsys, argv + ["--cache-dir", str(tmp_path)])
+    assert (code, out) == (0, direct)
+    assert [w.category for w in caught] == [UserWarning]
+    lines = path.read_text().splitlines()
+    assert len(lines) == 2
+    appended = InvariantRecord.from_json(lines[1])
+    assert appended.canonical_key == TREFOIL_KEY and appended.version == CACHE_VERSION
+    assert json.loads(direct)["khovanov"]["ranks"] == appended.khovanov
+
+
+def test_cache_unreadable_file_not_fatal(tmp_path, capsys):
+    argv = ["invariants", "1 1 1", "--strands", "2", "--homfly", "--json"]
+    _, direct, _ = run(capsys, argv)
+    (tmp_path / "invariants.jsonl").write_bytes(b"\xff\xfe\n")
+    with pytest.warns(UserWarning, match="cache read failed"):
+        code, out, _ = run(capsys, argv + ["--cache-dir", str(tmp_path)])
+    assert (code, out) == (0, direct)
+
+
+def test_cache_never_serves_link_khovanov(tmp_path, capsys):
+    # Conjugate words of a trefoil split from an unknot: one key, but the
+    # marked strand lies on the trefoil in one and on the unknot in the other.
+    words = ("-2 -1 -1 -1 2", "-1 -2 -1 -1 -1 2 1")
+    keys = {canonical_closure_key(parse_braid_word(w, 3)) for w in words}
+    assert len(keys) == 1
+    direct = [run(capsys, ["invariants", w, "--strands", "3", "--khovanov", "--json"])[1]
+              for w in words]
+    assert direct[0] != direct[1]
+    for w, expected in zip(words, direct):
+        code, out, _ = run(capsys, ["invariants", w, "--strands", "3", "--khovanov",
+                                    "--json", "--cache-dir", str(tmp_path)])
+        assert (code, out) == (0, expected)
+    for line in (tmp_path / "invariants.jsonl").read_text().splitlines():
+        assert json.loads(line)["khovanov"] is None
+
+
+ints = st.integers(-10**6, 10**6)
+triples = st.lists(st.lists(ints, min_size=3, max_size=3), max_size=4)
+records = st.builds(
+    InvariantRecord,
+    canonical_key=st.text(max_size=8),
+    strands=ints,
+    writhe=ints,
+    components=ints,
+    homfly=st.none() | st.fixed_dictionaries({"terms": triples, "clearing": ints}),
+    khovanov=st.none() | triples,
+    signature=st.none() | ints,
+    determinant=st.none() | ints,
+    created=st.text(max_size=8),
+    version=st.none() | ints,
+)
+
+
+@given(records, records)
+def test_record_round_trip_and_merge(rec, earlier):
+    assert InvariantRecord.from_json(rec.to_json()) == rec
+    merged = rec.merged_with(earlier)
+    for name in INVARIANTS:
+        own = getattr(rec, name)
+        assert getattr(merged, name) == (getattr(earlier, name) if own is None else own)
+    assert merged.created == (earlier.created or rec.created)
+    for name in ("canonical_key", "strands", "writhe", "components", "version"):
+        assert getattr(merged, name) == getattr(rec, name)
 
 
 def test_cache_key_needs_no_normal_form(tmp_path, capsys, monkeypatch):
