@@ -1,14 +1,16 @@
 """Advisory JSON-lines result cache keyed by a word-level closure key.
 
-One record per closure, append-only with dedupe on store.  A corrupt line,
-or a served invariant with malformed terms, is skipped with a warning and
-recomputed; it never aborts a computation.  A record of another or no
-``CACHE_VERSION`` is ignored without a warning, and the next store appends
-a current one.  A link's reduced Khovanov table depends on which component
-carries the marked edge, which conjugation moves, so it is never stored or
-served.  The cache assumes a single writer: concurrent processes appending
-to one file are not coordinated.  The location is an explicit directory or
-the KNOTBOUND_CACHE environment variable; with neither, the cache is off.
+One record per closure, append-only with dedupe on store.  A corrupt line
+(not UTF-8, or not a record of well-typed fields), or a served invariant
+with malformed terms, is skipped with a warning and recomputed; it never
+aborts a computation, and the next append starts on a line of its own.  A
+record of another or no ``CACHE_VERSION`` is ignored without a warning, and
+the next store appends a current one.  A link's reduced Khovanov table
+depends on which component carries the marked edge, which conjugation moves,
+so it is never stored or served.  The cache assumes a single writer:
+concurrent processes appending to one file are not coordinated.  The location
+is an explicit directory or the KNOTBOUND_CACHE environment variable; with
+neither, the cache is off.
 """
 
 from __future__ import annotations
@@ -80,8 +82,9 @@ class InvariantRecord:
             values = tuple(map(d.get, _NAMES))
         except AttributeError:
             raise ValueError("not a JSON object") from None
-        if not all(map(isinstance, values, _TYPES)):
-            bad = next(n for n, v, t in zip(_NAMES, values, _TYPES) if not isinstance(v, t))
+        if not all(map(isinstance, values, _TYPES)) or bool in map(type, values):
+            bad = next(n for n, v, t in zip(_NAMES, values, _TYPES)
+                       if not isinstance(v, t) or type(v) is bool)
             raise ValueError(f"field {bad} is missing or of the wrong type")
         return InvariantRecord(*values)
 
@@ -132,6 +135,8 @@ class ResultCache:
         self.path: Optional[Path] = Path(directory) / _FILE_NAME if directory else None
         self._records: dict[str, InvariantRecord] = {}
         self._loaded = False
+        # The file ends inside a line, so the next append starts a new one.
+        self._torn = False
 
     @property
     def enabled(self) -> bool:
@@ -144,16 +149,18 @@ class ResultCache:
         if not self.path.exists():
             return
         try:
-            text = self.path.read_text()
-        except (OSError, UnicodeDecodeError) as exc:
+            data = self.path.read_bytes()
+        except OSError as exc:
             warnings.warn(f"cache read failed, continuing without it: {exc}")
             return
+        self._torn = data[-1:] not in (b"", b"\n")
         records, from_json = self._records, InvariantRecord.from_json
-        for lineno, line in enumerate(text.splitlines(), 1):
+        for lineno, line in enumerate(data.splitlines(), 1):
             if not line.strip():
                 continue
             try:
-                rec = from_json(line)
+                # A line that is not UTF-8 raises UnicodeDecodeError, a ValueError.
+                rec = from_json(line.decode())
             except ValueError as exc:
                 warnings.warn(f"skipping corrupt cache line {lineno}: {exc}")
                 continue
@@ -183,8 +190,9 @@ class ResultCache:
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with self.path.open("a") as fh:
-                fh.write(record.to_json() + "\n")
+                fh.write(("\n" if self._torn else "") + record.to_json() + "\n")
                 fh.flush()
+            self._torn = False
         except OSError as exc:
             warnings.warn(f"cache write failed, continuing without it: {exc}")
 

@@ -1,127 +1,84 @@
-"""HOMFLYPT polynomial of a braid closure by a descending-diagram skein tree.
+"""HOMFLYPT polynomial of a braid closure by a Hecke-algebra expansion.
 
-Normalization: a P(K_-) - a^{-1} P(K_+) = z P(K_0) with P(unknot) = 1, so a
-positive crossing resolves as P(K_+) = a^2 P(K_-) - a z P(K_0) and a negative
-one as P(K_-) = a^{-2} P(K_+) + a^{-1} z P(K_0).  The base case is a
-descending closure, worth delta^{c-1} with delta = (a - a^{-1}) z^{-1} on c
-components.
+Normalization: a P(K_-) - a^{-1} P(K_+) = z P(K_0) with P(unknot) = 1.  Set
+sigma_i = a T_i; then T_i - T_i^{-1} = -z, so T_i^2 = 1 - z T_i, and the
+closure is the Ocneanu trace of the word (Jones, "Hecke algebra
+representations of braid groups and link polynomials", Ann. of Math. 126,
+1987; Morton and Short, J. Algorithms 11, 1990).
 
-The traversal starts at the top of each strand on the left edge, visiting
-components in order of their least strand.  The underlying projection does
-not change when a crossing is switched, so the first crossing whose first
-visit runs under strictly moves rightward along the traversal after each
-switch; smoothing deletes a letter.  That lexicographic measure guarantees
-termination.
+The word, without its factor a^{writhe}, is expanded letter by letter in the
+basis {T_p : p in S_n}: right-multiplying by one generator touches each
+basis term once, so the cost is linear in word length and bounded by n!
+terms per letter.  A permutation p is stored as the tuple of strand labels
+by position, so T_i swaps positions i-1 and i, and raises the length exactly
+when p[i-1] < p[i].
 
-The tree is walked with an explicit stack, so word length is not limited by
-the interpreter's recursion depth.  Sub-diagrams that recur are shared
-through a memo keyed on the free-reduced letter tuple; the strand count is
-fixed within one call, so the key is exact.  The memo lives for one
-``homfly`` call: nothing is kept between calls.
+The trace closes one strand at a time: tr_n(x) = delta tr_{n-1}(x) and
+tr_n(x T_{n-1}) = a^{-1} tr_{n-1}(x) for x in H_{n-1}, with
+delta = (a - a^{-1}) z^{-1}.  Every state lives inside one ``homfly`` call.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .braid import (
     BraidWord,
     canonical_closure_key,  # noqa: F401  unused here; perfbench/tracing.py patches it
-    closure_components,
-    free_reduce,
+    closure_components,  # noqa: F401  unused here; perfbench/tracing.py patches it
+    writhe,
 )
 from .laurent import LaurentPoly2
 
 __all__ = ["homfly", "clear_cache"]
 
-_A2 = LaurentPoly2.monomial(2, 0)
-_NEG_AZ = LaurentPoly2.monomial(1, 1, -1)
-_INV_A2 = LaurentPoly2.monomial(-2, 0)
-_INV_AZ = LaurentPoly2.monomial(-1, 1)
-_DELTA = LaurentPoly2.from_dict({(1, -1): 1, (-1, -1): -1})
+# A basis expansion: permutation (strand labels by position) -> coefficient.
+Vector = dict[tuple[int, ...], LaurentPoly2]
 
 
 def clear_cache() -> None:
-    """Do nothing: the skein memo lives inside one ``homfly`` call.
+    """Do nothing: the Hecke expansion keeps no state between calls.
 
-    Kept so that callers which clear the memo between queries, such as the
+    Kept so that callers which clear a memo between queries, such as the
     benchmark in ``perfbench/``, keep working.
     """
 
 
-def _first_bad_crossing(w: BraidWord) -> Optional[int]:
-    """Index of the first crossing whose first visit runs under, if any.
-
-    Walks the closure from the basepoints (left edge, components ordered by
-    least strand row).  At letter +-i the strand entering on row i goes over
-    for a positive letter and under for a negative one.
-    """
-    n, letters = w.strands, w.letters
-    visited_rows = [False] * n
-    seen = [False] * len(letters)
-    for start in range(n):
-        if visited_rows[start]:
-            continue
-        row = start
-        while True:
-            visited_rows[row] = True
-            for pos, e in enumerate(letters):
-                i = abs(e)
-                if row == i - 1:  # entering on the upper strand
-                    if not seen[pos]:
-                        seen[pos] = True
-                        if e < 0:
-                            return pos
-                    row = i
-                elif row == i:  # entering on the lower strand
-                    if not seen[pos]:
-                        seen[pos] = True
-                        if e > 0:
-                            return pos
-                    row = i - 1
-            if row == start:
-                break
-    return None
+def _add(vec: Vector, p: tuple[int, ...], c: LaurentPoly2) -> None:
+    vec[p] = vec[p] + c if p in vec else c
 
 
-def _delta_power(c: int) -> LaurentPoly2:
-    out = LaurentPoly2.one()
-    for _ in range(c):
-        out = out * _DELTA
-    return out
+def _times(vec: Vector, i: int, inverse: bool = False) -> Vector:
+    """``vec`` right-multiplied by T_i, or by T_i^{-1} = T_i + z."""
+    out: Vector = {}
+    for p, c in vec.items():
+        _add(out, p[:i - 1] + (p[i], p[i - 1]) + p[i + 1:], c)
+        # T_p T_i = T_{p s_i} - z T_p when the length goes down, and
+        # T_p T_i^{-1} = T_{p s_i} + z T_p when it goes up.
+        if (p[i - 1] < p[i]) == inverse:
+            _add(out, p, c.scale(0, 1, 1 if inverse else -1))
+    # Cancelled terms would be carried through every later letter.
+    return {p: c for p, c in out.items() if not c.is_zero()}
 
 
 def homfly(w: BraidWord) -> LaurentPoly2:
     """HOMFLYPT polynomial of the closure of w, in (a, z)."""
-    root = free_reduce(w)
-    memo: dict[tuple[int, ...], LaurentPoly2] = {}
-    # A frame (v, None) asks for the value of v.  A frame (v, (e, switched,
-    # smoothed)) sits under its two resolutions and combines their values
-    # once both are in the memo.  The skein graph is acyclic, so a word is
-    # never expanded while an earlier expansion of it is still open.
-    stack: list[tuple[BraidWord, Optional[tuple]]] = [(root, None)]
-    while stack:
-        v, resolved = stack.pop()
-        letters = v.letters
-        if resolved is not None:
-            e, switched, smoothed = resolved
-            if e > 0:
-                memo[letters] = (_A2 * memo[switched.letters]
-                                 + _NEG_AZ * memo[smoothed.letters])
+    vec: Vector = {tuple(range(w.strands)): LaurentPoly2.one()}
+    for e in w.letters:
+        vec = _times(vec, abs(e), inverse=e < 0)
+    for m in range(w.strands, 1, -1):
+        # Close the last strand.  With label m-1 at position j, T_p is
+        # T_{p'} T_{m-1} ... T_{j+1}, where p' is p without that label; by
+        # cyclicity tr_m(T_p) = a^{-1} tr_{m-1}(T_{p'} T_{m-2} ... T_{j+1}).
+        closed: Vector = {}
+        for p, c in vec.items():
+            j = p.index(m - 1)
+            rest = p[:j] + p[j + 1:]
+            if j == m - 1:
+                part = {rest: c.scale(1, -1) - c.scale(-1, -1)}
             else:
-                memo[letters] = (_INV_A2 * memo[switched.letters]
-                                 + _INV_AZ * memo[smoothed.letters])
-            continue
-        if letters in memo:
-            continue
-        bad = _first_bad_crossing(v)
-        if bad is None:
-            memo[letters] = _delta_power(closure_components(v) - 1)
-            continue
-        e = letters[bad]
-        switched = free_reduce(v.with_letters(letters[:bad] + (-e,) + letters[bad + 1:]))
-        smoothed = free_reduce(v.with_letters(letters[:bad] + letters[bad + 1:]))
-        stack.append((v, (e, switched, smoothed)))
-        stack.append((smoothed, None))
-        stack.append((switched, None))
-    return memo[root.letters]
+                part = {rest: c.scale(-1, 0)}
+                for i in range(m - 2, j, -1):
+                    part = _times(part, i)
+            for q, cq in part.items():
+                _add(closed, q, cq)
+        vec = closed
+    return vec[(0,)].scale(writhe(w), 0)

@@ -380,9 +380,10 @@ TREFOIL_LINE = json.loads(InvariantRecord(
         {**TREFOIL_LINE, "homfly": 5},
         {**TREFOIL_LINE, "homfly": {"terms": [[0, 0]], "clearing": 0}},
         {**TREFOIL_LINE, "khovanov": [[0, 0, "1"]]},
+        {**TREFOIL_LINE, "signature": True},
     ],
     ids=["list", "null", "null-strands", "list-key", "int-homfly", "short-term",
-         "string-rank"],
+         "string-rank", "bool-signature"],
 )
 def test_cache_malformed_line_recomputed(tmp_path, capsys, line):
     argv = ["invariants", "1 1 1", "--strands", "2", "--all", "--json"]
@@ -401,12 +402,22 @@ def test_cache_malformed_line_recomputed(tmp_path, capsys, line):
     assert json.loads(direct)["khovanov"]["ranks"] == appended.khovanov
 
 
-def test_cache_unreadable_file_not_fatal(tmp_path, capsys):
-    argv = ["invariants", "1 1 1", "--strands", "2", "--homfly", "--json"]
-    _, direct, _ = run(capsys, argv)
-    (tmp_path / "invariants.jsonl").write_bytes(b"\xff\xfe\n")
-    with pytest.warns(UserWarning, match="cache read failed"):
-        code, out, _ = run(capsys, argv + ["--cache-dir", str(tmp_path)])
+def test_cache_unreadable_file_not_fatal(tmp_path, capsys, monkeypatch):
+    argv = ["invariants", "1 1 1", "--strands", "2", "--homfly", "--json",
+            "--cache-dir", str(tmp_path)]
+    _, direct, _ = run(capsys, argv[:-2])
+    # Not UTF-8, and no final newline: the record must land on a line of its own.
+    (tmp_path / "invariants.jsonl").write_bytes(b"\xff\xfe")
+    with pytest.warns(UserWarning, match="corrupt cache line 1"):
+        code, out, _ = run(capsys, argv)
+    assert (code, out) == (0, direct)
+
+    def refuse(w):
+        raise RuntimeError("the second query must be served from the cache")
+
+    monkeypatch.setattr("knotbound.cli.homfly", refuse)
+    with pytest.warns(UserWarning, match="corrupt cache line 1"):
+        code, out, _ = run(capsys, argv)
     assert (code, out) == (0, direct)
 
 

@@ -189,7 +189,7 @@ def _det(rows):
 @settings(max_examples=150, deadline=None)
 @given(connected_words())
 def test_conway_identity_against_homfly(w):
-    # det(s V - s^-1 V^T) = P(a=1, z=s-s^-1): Seifert form against skein tree.
+    # det(s V - s^-1 V^T) = P(a=1, z=s-s^-1): Seifert form against the Hecke expansion.
     v = seifert_matrix(w).matrix
     p = homfly(w).as_dict()
     for s in (Fraction(2), Fraction(5, 2)):
