@@ -3,7 +3,7 @@
 A braid on ``n`` strands is a word in the Artin generators, stored as a
 sequence of nonzero integers: letter ``+i`` is the generator crossing strands
 ``i`` and ``i+1`` positively, ``-i`` its inverse.  Everything downstream
-(the Hecke expansion, Seifert surfaces, resolution cubes) consumes this one
+(the Hecke expansion, Seifert surfaces, planar diagrams) consumes this one
 representation.
 
 Braid equality in B_n, which only destabilization needs, is decided through

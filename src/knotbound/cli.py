@@ -6,8 +6,8 @@ planar diagram), ``family`` (built-in braid families), ``bounds``
 suite), ``cache`` (inspect or clear the result cache).
 
 Exit codes: 0 success, 1 failed verification claim, 2 usage or parse
-error, 3 precondition failure (e.g. a disconnected Seifert surface, or a
-diagram over the Khovanov crossing budget).
+error, 3 precondition failure (e.g. a disconnected Seifert surface, or an
+input over the Khovanov object budget or the HOMFLYPT term budget).
 JSON output is deterministic: same input, byte-identical output.
 """
 
@@ -24,7 +24,7 @@ from . import braid
 from .braid import BraidWord, BraidError, parse_braid_word
 from .bounds import InvertedSpan, ParityError, SpanOffLines, kr_report, mfw_report
 from .cache import ENV_VAR, INVARIANTS, InvariantRecord, ResultCache, key_string
-from .homfly import homfly
+from .homfly import TooManyTerms, homfly
 from .khovanov import (
     BigradedRanks,
     TooManyCrossings,
@@ -263,7 +263,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return USAGE_ERROR
     try:
         return args.func(args)
-    except (DisconnectedSurface, NotAKnot, TooManyCrossings) as exc:
+    except (DisconnectedSurface, NotAKnot, TooManyCrossings, TooManyTerms) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return PRECONDITION_ERROR
     except (BraidError, ParityError, InvertedSpan, SpanOffLines, OSError) as exc:

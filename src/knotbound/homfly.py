@@ -21,6 +21,7 @@ delta = (a - a^{-1}) z^{-1}.  Every state lives inside one ``homfly`` call.
 from __future__ import annotations
 
 from .braid import (
+    BraidError,
     BraidWord,
     canonical_closure_key,  # noqa: F401  unused here; perfbench/tracing.py patches it
     closure_components,  # noqa: F401  unused here; perfbench/tracing.py patches it
@@ -28,7 +29,16 @@ from .braid import (
 )
 from .laurent import LaurentPoly2
 
-__all__ = ["homfly", "clear_cache"]
+__all__ = ["homfly", "clear_cache", "TooManyTerms", "MAX_TERMS"]
+
+# Most basis terms the expansion may keep after a letter.  A word on n
+# strands keeps at most n! terms, so every word on up to 7 strands fits
+# (7! = 5040); one letter at most doubles the terms before the check.
+MAX_TERMS = 10_000
+
+
+class TooManyTerms(BraidError):
+    """The Hecke expansion would keep more than ``MAX_TERMS`` basis terms."""
 
 # A basis expansion: permutation (strand labels by position) -> coefficient.
 Vector = dict[tuple[int, ...], LaurentPoly2]
@@ -56,7 +66,12 @@ def _times(vec: Vector, i: int, inverse: bool = False) -> Vector:
         if (p[i - 1] < p[i]) == inverse:
             _add(out, p, c.scale(0, 1, 1 if inverse else -1))
     # Cancelled terms would be carried through every later letter.
-    return {p: c for p, c in out.items() if not c.is_zero()}
+    out = {p: c for p, c in out.items() if not c.is_zero()}
+    if len(out) > MAX_TERMS:
+        raise TooManyTerms(
+            f"the Hecke expansion needs {len(out)} terms, over the budget of {MAX_TERMS}"
+        )
+    return out
 
 
 def homfly(w: BraidWord) -> LaurentPoly2:

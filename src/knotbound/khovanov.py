@@ -1,21 +1,26 @@
-"""Reduced sl(2) Khovanov homology of a braid closure, over the rationals.
+"""Reduced sl(2) Khovanov homology of a link diagram, over the rationals.
 
-The chain complex is the cube of resolutions of the closure's planar
-diagram with the rank-two Frobenius algebra; the reduced theory is the
-subcomplex where the circle through a marked edge always carries the
-degree -1 generator.  Gradings are normalised so the unknot has rank one
-at (0, 0) and the graded Euler characteristic reproduces the HOMFLYPT
-specialisation P(q^2, q).
+The homology is computed by Bar-Natan's scanning algorithm (D. Bar-Natan,
+"Fast Khovanov homology computations", J. Knot Theory Ramifications 16,
+2007).  Crossings are added one at a time to a complex over dotted
+cobordisms with h = t = 0; each closed circle is delooped as it appears,
+and every isomorphism is cancelled after each crossing, so the complex
+stays near the size of the homology rather than the 2^c vertices of the
+cube of resolutions.  Coefficients stay integers.  The reduced theory cuts
+the marked edge open into an arc whose dot acts as zero.  Gradings are
+normalised so the unknot has rank one at (0, 0) and the graded Euler
+characteristic reproduces the HOMFLYPT specialisation P(q^2, q).
 
-Ranks are computed degree by degree by exact column reduction, the
-standard algorithm of persistent homology; entries start at +-1, so the
-arithmetic stays integral until a non-unit pivot forces a rational.
+The ranks of what is left are computed degree by degree by exact column
+reduction, the standard algorithm of persistent homology; entries are
+integers, and a non-unit pivot brings in rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Optional
 
 from .braid import BraidWord, BraidError
@@ -31,15 +36,19 @@ __all__ = [
     "pd_to_text",
     "pd_from_text",
     "TooManyCrossings",
-    "MAX_CROSSINGS",
+    "MAX_OBJECTS",
 ]
 
-# Most crossings reduced_khovanov accepts: its cube has 2^c vertices.
-MAX_CROSSINGS = 16
+# Most objects one scanning step of reduced_khovanov may build: the
+# delooped complex right after one crossing is tensored on, before
+# cancellation.  On 3-strand braids a step costs about 2 KiB per object,
+# entries and caches included, so the budget keeps one near 40 MiB;
+# elrifai-k(8), 82 crossings, peaks at 3981 objects.
+MAX_OBJECTS = 20_000
 
 
 class TooManyCrossings(BraidError):
-    """The diagram has more crossings than the cube engine's budget."""
+    """A scanning step would build more than ``MAX_OBJECTS`` objects."""
 
 
 @dataclass(frozen=True)
@@ -96,25 +105,25 @@ class PlanarDiagram:
         if not 0 <= e < self.n_edges:
             raise BraidError(f"edge id {e} out of range 0..{self.n_edges - 1}")
 
-    def resolution_pairs(self, crossing_index: int):
-        """(zero-resolution pairs, one-resolution pairs) at a crossing.
-
-        The oriented smoothing is the 0-resolution of a positive crossing
-        and the 1-resolution of a negative one.
-        """
-        (a, b, c, d), sign = self.crossings[crossing_index]
-        if sign > 0:
-            oriented = ((d, c), (a, b))
-            capcup = ((d, a), (c, b))
-            return oriented, capcup
-        oriented = ((a, d), (b, c))
-        capcup = ((a, b), (d, c))
-        return capcup, oriented
-
     def signs(self) -> tuple[int, int]:
         """(number of positive crossings, number of negative crossings)."""
         pos = sum(1 for _, s in self.crossings if s > 0)
         return pos, len(self.crossings) - pos
+
+    def component_edges(self) -> tuple[int, ...]:
+        """The least edge of each link component, in increasing order.
+
+        A strand runs straight through a crossing, from port 0 to port 2
+        and between ports 1 and 3.
+        """
+        parent = list(range(self.n_edges))
+        for (a, b, c, d), _ in self.crossings:
+            for x, y in ((a, c), (b, d)):
+                parent[_find(parent, x)] = _find(parent, y)
+        least: dict[int, int] = {}
+        for e in range(self.n_edges):
+            least.setdefault(_find(parent, e), e)
+        return tuple(least.values())
 
 
 def braid_to_pd(w: BraidWord) -> PlanarDiagram:
@@ -214,67 +223,340 @@ def poincare_polynomial(r: BigradedRanks) -> str:
     return "+".join(parts)
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
+# ---------------------------------------------------------------------------
+# The scanning engine.  Points are edge ids, plus one extra point for the
+# second end of the marked edge.
 
-    def __init__(self, size: int):
-        self.parent = list(range(size))
+# A crossingless matching: sorted pairs (x, y) with x < y.
+Matching = tuple[tuple[int, int], ...]
+# A morphism between two matchings: mask of dotted curves -> coefficient.
+Morphism = dict[int, int]
 
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
+# Port pairs joined by the 0- and by the 1-resolution of a crossing, for
+# either sign: the oriented smoothing is the 0-resolution of a positive
+# crossing and the 1-resolution of a negative one.
+_RESOLUTIONS = (((0, 1), (2, 3)), ((0, 3), (1, 2)))
+# Which disk of a crossing's cobordism lies at each port: the identity on
+# each resolution is two strips, and the saddle is one disk.
+_STRIPS = ((0, 0, 1, 1), (0, 1, 1, 0))
+_SADDLE = (0, 0, 0, 0)
 
 
-def _vertex_circles(pd: PlanarDiagram, vertex: int):
-    """Circle decomposition at a cube vertex.
+def _find(parent, x):
+    """Root of x in a union-find forest, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
 
-    Returns (edge_to_circle, least_edge, marked_circle_index); circles are
-    indexed by the order of their least edge id, and least_edge[ci] is the
-    least edge of circle ci.
+
+def _curve_names(m1: Matching, m2: Matching) -> dict[int, int]:
+    """Each point of two matchings on one boundary -> the least point of
+    its curve in their union."""
+    p1: dict[int, int] = {}
+    p2: dict[int, int] = {}
+    for m, p in ((m1, p1), (m2, p2)):
+        for x, y in m:
+            p[x], p[y] = y, x
+    name: dict[int, int] = {}
+    for x in sorted(p1):
+        y = x
+        while y not in name:
+            z = p1[y]
+            name[y] = name[z] = x
+            y = p2[z]
+    return name
+
+
+def _smooth(arcs, boundary: frozenset) -> tuple[Matching, list[int]]:
+    """A union of arcs as a matching on ``boundary`` plus the least point
+    of each closed circle."""
+    parent: dict[int, int] = {}
+    for x, y in arcs:
+        parent.setdefault(x, x)
+        parent.setdefault(y, y)
+        parent[_find(parent, x)] = _find(parent, y)
+    parts: dict[int, list[int]] = {}
+    for x in parent:
+        parts.setdefault(_find(parent, x), []).append(x)
+    matching, circles = [], []
+    for points in parts.values():
+        tips = sorted(x for x in points if x in boundary)
+        if tips:
+            matching.append(tuple(tips))
+        else:
+            circles.append(min(points))
+    return tuple(sorted(matching)), circles
+
+
+class _Surface:
+    """A cobordism glued from disks, to be reduced to the neck-cut basis.
+
+    ``labels`` name the disks.  Each ``(x, y, arcs)`` in ``joins`` glues
+    disk x to disk y along ``arcs`` intervals, each of which lowers the
+    Euler characteristic by one, or along a whole circle when ``arcs`` is 0.
+    ``rims`` maps the bit of each boundary curve of the result to a disk on
+    that curve.  ``index`` gives each disk's component, and ``comps`` each
+    component's genus and curve bits.
     """
-    uf = _UnionFind(pd.n_edges)
-    for k in range(len(pd.crossings)):
-        zero_pairs, one_pairs = pd.resolution_pairs(k)
-        pairs = one_pairs if (vertex >> k) & 1 else zero_pairs
-        for x, y in pairs:
-            uf.union(x, y)
-    roots: dict[int, int] = {}
-    edge_to_circle = [0] * pd.n_edges
-    least_edge: list[int] = []
-    for e in range(pd.n_edges):
-        r = uf.find(e)
-        if r not in roots:
-            roots[r] = len(roots)
-            least_edge.append(e)
-        edge_to_circle[e] = roots[r]
-    return edge_to_circle, least_edge, edge_to_circle[pd.marked_edge]
+
+    __slots__ = ("index", "comps")
+
+    def __init__(self, labels, joins, rims: dict[int, int]):
+        parent = {x: x for x in labels}
+        for x, y, _ in joins:
+            parent[_find(parent, x)] = _find(parent, y)
+        chi: dict[int, int] = {}
+        for x in labels:
+            r = _find(parent, x)
+            chi[r] = chi.get(r, 0) + 1
+        for x, _, arcs in joins:
+            chi[_find(parent, x)] -= arcs
+        curves = dict.fromkeys(chi, 0)
+        for bit, x in rims.items():
+            curves[_find(parent, x)] |= bit
+        order = {r: i for i, r in enumerate(chi)}
+        self.index = {x: order[_find(parent, x)] for x in labels}
+        # chi = 2 - 2 genus - (number of boundary curves)
+        self.comps = [((2 - c - curves[r].bit_count()) // 2, curves[r])
+                      for r, c in chi.items()]
+
+    def evaluate(self, dots: list[int], coeff: int, out: Morphism) -> None:
+        """Add ``coeff`` times the surface, with ``dots[i]`` dots on
+        component i, to ``out``.
+
+        With h = t = 0 a handle is twice a dot and two dots vanish.  So a
+        component whose genus plus dots is 1 dots all its curves, one with
+        0 leaves each curve undotted in turn (and is zero if closed), and
+        any other is zero.
+        """
+        terms = {0: coeff}
+        for (genus, curves), d in zip(self.comps, dots):
+            weight = genus + d
+            if weight > 1 or not (weight or curves):
+                return
+            if weight:
+                terms = {m | curves: c << genus for m, c in terms.items()}
+                continue
+            undotted = []
+            rest = curves
+            while rest:
+                low = rest & -rest
+                undotted.append(curves ^ low)
+                rest ^= low
+            terms = {m | u: c for m, c in terms.items() for u in undotted}
+        for m, c in terms.items():
+            out[m] = out.get(m, 0) + c
 
 
-def _states(count: int, marked: int):
-    """Label masks of a vertex with ``count`` circles, bit set = generator x.
+def _compose(cache: dict, top: int, delta: Morphism, gamma: Morphism,
+             x: Matching, m: Matching, y: Matching) -> Morphism:
+    """gamma o delta for delta: x -> m and gamma: m -> y; ``cache`` keeps
+    the glued surface of each (x, m, y), and ``top`` is ``_Complex.top``."""
+    surface = cache.get((x, m, y))
+    if surface is None:
+        lower, upper = _curve_names(x, m), _curve_names(m, y)
+        s = _Surface(
+            set(lower.values()) | {top + n for n in upper.values()},
+            [(lower[u], top + upper[u], 1) for u, _ in m],
+            {1 << n: lower[p] for p, n in _curve_names(x, y).items()},
+        )
+        low, high = [0] * len(s.comps), [0] * len(s.comps)
+        for n in set(lower.values()):
+            low[s.index[n]] |= 1 << n
+        for n in set(upper.values()):
+            high[s.index[top + n]] |= 1 << n
+        surface = cache[x, m, y] = (s, low, high)
+    s, low, high = surface
+    out: Morphism = {}
+    for m1, c1 in delta.items():
+        for m2, c2 in gamma.items():
+            dots = [(m1 & a).bit_count() + (m2 & b).bit_count() for a, b in zip(low, high)]
+            s.evaluate(dots, c1 * c2, out)
+    return out
 
-    The marked circle is always x; the free circles run through every subset.
+
+class _Complex:
+    """A chain complex over Bar-Natan's dotted cobordisms with h = t = 0.
+
+    An object is a crossingless matching on the boundary points with a
+    quantum shift and a homological degree.  A morphism a -> b is a
+    ``Morphism``: each curve of a and b together, named by its least point,
+    bounds a disk, which is dotted when bit ``1 << name`` is set in the
+    mask.  Closed circles are delooped as they appear, and isomorphisms are
+    cancelled after each crossing, so the complex stays near the size of
+    the homology.
     """
-    free = [ci for ci in range(count) if ci != marked]
-    for sub in range(1 << len(free)):
-        mask = 1 << marked
-        for i, ci in enumerate(free):
-            if (sub >> i) & 1:
-                mask |= 1 << ci
-        yield mask
+
+    def __init__(self, top: int):
+        self.top = top  # every point is below it; other disk labels start there
+        self.boundary: frozenset = frozenset()
+        self.objects: dict[int, tuple[Matching, int, int]] = {0: ((), 0, 0)}
+        self.out: dict[int, dict[int, Morphism]] = {0: {}}  # id -> {target: morphism}
+        self.into: dict[int, set[int]] = {0: set()}  # id -> ids with a morphism into it
+
+    def add_crossing(self, ports: tuple[int, ...]) -> None:
+        """Tensor with the crossing's complex [r0 -> r1{1}], then deloop.
+
+        Raises ``TooManyCrossings`` before building a step that would have
+        more than ``MAX_OBJECTS`` objects.
+        """
+        internal = {e for e in ports if e in self.boundary or ports.count(e) == 2}
+        boundary = (self.boundary | set(ports)) - internal
+        arcs = [tuple((ports[p], ports[q]) for p, q in res) for res in _RESOLUTIONS]
+        smooth: dict[tuple[Matching, int], tuple[Matching, list[int]]] = {}
+        size = 0
+        for a, _, _ in self.objects.values():
+            for i in (0, 1):
+                if (a, i) not in smooth:
+                    smooth[a, i] = _smooth(a + arcs[i], boundary)
+                size += 1 << len(smooth[a, i][1])
+        if size > MAX_OBJECTS:
+            raise TooManyCrossings(
+                f"a scanning step needs {size} objects, over the budget of {MAX_OBJECTS}"
+            )
+        _Step(self, ports, internal, boundary, smooth).build()
+
+    def cancel(self) -> None:
+        """Gaussian elimination of every isomorphism +-1 between two objects
+        with the same matching and shift, until none is left."""
+        objects, out, into = self.objects, self.out, self.into
+        composites: dict = {}
+        queue = list(objects)
+        while queue:
+            o1 = queue.pop()
+            if o1 not in objects:
+                continue
+            m, shift, _ = objects[o1]
+            for o2, phi in out[o1].items():
+                if (objects[o2][:2] == (m, shift) and len(phi) == 1
+                        and phi.get(0) in (1, -1)):
+                    break
+            else:
+                continue
+            # d(x -> y) -= gamma phi^-1 delta, for delta: x -> o2, gamma: o1 -> y.
+            sign = phi[0]
+            targets = [(y, g) for y, g in out[o1].items() if y != o2]
+            for x in into[o2]:
+                if x == o1:
+                    continue
+                row, delta = out[x], out[x][o2]
+                for y, gamma in targets:
+                    f = row.get(y, {})
+                    for mask, c in _compose(composites, self.top, delta, gamma,
+                                            objects[x][0], m, objects[y][0]).items():
+                        f[mask] = f.get(mask, 0) - sign * c
+                    f = {mask: c for mask, c in f.items() if c}
+                    if f:
+                        row[y] = f
+                        into[y].add(x)
+                    elif y in row:
+                        del row[y]
+                        into[y].discard(x)
+                queue.append(x)
+            for o in (o1, o2):
+                for x in into.pop(o):
+                    if x in out:
+                        del out[x][o]
+                for y in out.pop(o):
+                    if y in into:
+                        into[y].discard(o)
+                del objects[o]
 
 
-def _quantum(vertex: int, count: int, mask: int, shift: int) -> int:
-    """Quantum grading (#ones - #xs) + |vertex| + shift of a state."""
-    return count - 2 * bin(mask).count("1") + bin(vertex).count("1") + shift
+class _Step:
+    """One crossing tensored onto a complex, with its delooped objects."""
+
+    def __init__(self, cx: _Complex, ports, internal, boundary, smooth):
+        self.cx, self.ports, self.internal = cx, ports, internal
+        self.boundary, self.smooth = boundary, smooth
+        self.surfaces: dict = {}  # (a, b, i, j) -> _surface(a, b, i, j)
+        self.objects: dict[int, tuple[Matching, int, int]] = {}
+        self.out: dict[int, dict[int, Morphism]] = {}
+        self.into: dict[int, set[int]] = {}
+
+    def _surface(self, a: Matching, b: Matching, i: int, j: int):
+        """The cobordism (f: a -> b) tensored with the crossing's identity
+        on resolution i (i == j) or its saddle (i = 0, j = 1), with a cup on
+        each circle below and a cap on each circle above.  Returns the
+        surface, the bits of f's curves on each component, and the
+        components of the cups and of the caps."""
+        if (a, b, i, j) in self.surfaces:
+            return self.surfaces[a, b, i, j]
+        top, ports = self.cx.top, self.ports
+        pieces = _STRIPS[i] if i == j else _SADDLE
+        names = _curve_names(a, b)
+        a2, cups = self.smooth[a, i]
+        b2, caps = self.smooth[b, j]
+
+        def owner(x: int) -> int:
+            return names[x] if x in names else top + pieces[ports.index(x)]
+
+        joins = []
+        for e in self.internal:
+            k = ports.index(e)
+            other = names[e] if e in names else top + pieces[ports.index(e, k + 1)]
+            joins.append((top + pieces[k], other, 1))
+        caps_at = top + 2 + len(cups)
+        joins += [(top + 2 + t, owner(x), 0) for t, x in enumerate(cups)]
+        joins += [(caps_at + t, owner(x), 0) for t, x in enumerate(caps)]
+        s = _Surface(
+            set(names.values()) | {top + p for p in pieces}
+            | set(range(top + 2, caps_at + len(caps))),
+            joins,
+            {1 << n: owner(x) for x, n in _curve_names(a2, b2).items()},
+        )
+        bits = [0] * len(s.comps)
+        for n in set(names.values()):
+            bits[s.index[n]] |= 1 << n
+        surface = self.surfaces[a, b, i, j] = (
+            s, bits, [s.index[top + 2 + t] for t in range(len(cups))],
+            [s.index[caps_at + t] for t in range(len(caps))])
+        return surface
+
+    def build(self) -> None:
+        """Replace the complex's objects and morphisms by the step's."""
+        cx, objects = self.cx, self.objects
+        summands: dict[tuple[int, int], list] = {}  # (old id, i) -> [(id, signs)]
+        for o, (a, s, h) in cx.objects.items():
+            for i in (0, 1):
+                m, circles = self.smooth[a, i]
+                # A circle is {+1} (cup in, dotted cap out) plus {-1}
+                # (dotted cup in, cap out).
+                summands[o, i] = [(len(objects) + n, signs) for n, signs in
+                                  enumerate(product((1, -1), repeat=len(circles)))]
+                for n, signs in summands[o, i]:
+                    objects[n] = (m, s + i + sum(signs), h + i)
+        for n in objects:
+            self.out[n], self.into[n] = {}, set()
+        for o, targets in cx.out.items():
+            a = cx.objects[o][0]
+            for o2, f in targets.items():
+                b = cx.objects[o2][0]
+                for i in (0, 1):
+                    self._add(summands[o, i], summands[o2, i], self._surface(a, b, i, i), f)
+        # d(c x) = dc x + (-1)^h c dx: the saddle term carries the sign.
+        for o, (a, _, h) in cx.objects.items():
+            self._add(summands[o, 0], summands[o, 1], self._surface(a, a, 0, 1),
+                      {0: -1 if h % 2 else 1})
+        cx.boundary, cx.objects, cx.out, cx.into = (self.boundary, objects,
+                                                    self.out, self.into)
+
+    def _add(self, sources, targets, surface, f: Morphism) -> None:
+        s, bits, cups, caps = surface
+        for n1, below in sources:
+            for n2, above in targets:
+                g: Morphism = {}
+                for mask, c in f.items():
+                    dots = [(mask & b).bit_count() for b in bits]
+                    for t, sign in enumerate(below):
+                        dots[cups[t]] += sign < 0
+                    for t, sign in enumerate(above):
+                        dots[caps[t]] += sign > 0
+                    s.evaluate(dots, c, g)
+                g = {mask: c for mask, c in g.items() if c}
+                if g:
+                    self.out[n1][n2] = g
+                    self.into[n2].add(n1)
 
 
 def _rank_sparse(columns: dict[int, dict[int, int]]) -> int:
@@ -311,72 +593,60 @@ def _rank_sparse(columns: dict[int, dict[int, int]]) -> int:
 def reduced_khovanov(pd: PlanarDiagram) -> BigradedRanks:
     """Reduced Khovanov homology ranks of the diagram, over the rationals.
 
-    Raises ``TooManyCrossings`` above ``MAX_CROSSINGS``, before the cube's
-    2^c vertices are built.
+    Scans the crossings one at a time, next the one with the most ports on
+    the current boundary (lowest index on ties).  The marked edge is cut
+    into two boundary points that never close up; in the end every object
+    is that one arc, where a dot acts as zero.  A marked free circle leaves
+    the rest of the diagram's unreduced homology, and each other free
+    circle multiplies the result by q + q^-1.
+
+    Raises ``TooManyCrossings`` before a step would build more than
+    ``MAX_OBJECTS`` objects.
     """
-    nc = len(pd.crossings)
-    if nc > MAX_CROSSINGS:
-        raise TooManyCrossings(f"{nc} crossings exceed the cube budget of {MAX_CROSSINGS}")
+    marked, cut = pd.marked_edge, pd.n_edges
+    ends, seen = [], False
+    for ports, _ in pd.crossings:
+        row = []
+        for e in ports:
+            if e == marked:
+                e, seen = (cut if seen else e), True
+            row.append(e)
+        ends.append(tuple(row))
+    cx = _Complex(cut + 1)
+    todo = list(range(len(ends)))
+    while todo:
+        k = max(todo, key=lambda k: (sum(e in cx.boundary for e in ends[k]), -k))
+        todo.remove(k)
+        cx.add_crossing(ends[k])
+        cx.cancel()
+
     n_plus, n_minus = pd.signs()
-    circles = [_vertex_circles(pd, v) for v in range(1 << nc)]
-    # Shifts the quantum grading so the reduced unknot sits at zero.
-    shift = n_plus - 2 * n_minus + 1
-
-    # Number the states of each (quantum, homological) block.
+    grading = {o: (s + n_plus - 2 * n_minus, h - n_minus)
+               for o, (_, s, h) in cx.objects.items()}
     dims: dict[tuple[int, int], int] = {}
-    position: dict[tuple[int, int], int] = {}  # (vertex, mask) -> index in block
-    for v, (_, least, marked) in enumerate(circles):
-        j = bin(v).count("1") - n_minus
-        for mask in _states(len(least), marked):
-            key = (_quantum(v, len(least), mask, shift), j)
-            position[v, mask] = dims.get(key, 0)
-            dims[key] = position[v, mask] + 1
-
-    # Assemble the differential blockwise and take ranks.
+    position: dict[int, int] = {}  # id -> index in its block
+    for o, key in grading.items():
+        position[o] = dims.get(key, 0)
+        dims[key] = position[o] + 1
     blocks: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
-    for v, (edge_to_circle, least, marked) in enumerate(circles):
-        count = len(least)
-        j = bin(v).count("1") - n_minus
-        states = [(mask, _quantum(v, count, mask, shift))
-                  for mask in _states(count, marked)]
-        for k in range(nc):
-            if (v >> k) & 1:
-                continue
-            v2 = v | (1 << k)
-            e2c2 = circles[v2][0]
-            sign = -1 if bin(v & ((1 << k) - 1)).count("1") % 2 else 1
-            ports = pd.crossings[k][0]
-            # Two circles merge into one, or one splits into two.
-            old = sorted({edge_to_circle[e] for e in ports})
-            new = sorted({e2c2[e] for e in ports})
-            carry = [e2c2[e] for e in least]
-            for mask, I in states:
-                rest = 0
-                for ci in range(count):
-                    if (mask >> ci) & 1 and ci not in old:
-                        rest |= 1 << carry[ci]
-                if len(old) == 2:
-                    xa, xb = (mask >> old[0]) & 1, (mask >> old[1]) & 1
-                    if xa and xb:
-                        continue  # m(x, x) = 0
-                    # m(1, 1) = 1, m(1, x) = m(x, 1) = x
-                    images = (rest | (xa | xb) << new[0],)
-                elif (mask >> old[0]) & 1:
-                    images = (rest | 1 << new[0] | 1 << new[1],)  # x -> x x
-                else:
-                    images = (rest | 1 << new[0], rest | 1 << new[1])  # 1 -> 1x + x1
-                col = blocks.setdefault((I, j), {}).setdefault(position[v, mask], {})
-                for mask2 in images:
-                    row = position[v2, mask2]
-                    col[row] = col.get(row, 0) + sign
-
+    for o, targets in cx.out.items():
+        # Only undotted entries survive: a dot on the marked arc acts as 0.
+        col = {position[t]: f[0] for t, f in targets.items() if f.get(0)}
+        if col:
+            blocks.setdefault(grading[o], {})[position[o]] = col
     rank_out = {key: _rank_sparse(cols) for key, cols in blocks.items()}
-
     betti: dict[tuple[int, int], int] = {}
     for (I, j), dim in dims.items():
         b = dim - rank_out.get((I, j), 0) - rank_out.get((I, j - 1), 0)
         if b:
-            betti[(I, j)] = b
+            betti[I, j] = b
+    for e in pd.free_edges:
+        if e != marked:
+            grown: dict[tuple[int, int], int] = {}
+            for (I, j), b in betti.items():
+                for key in ((I - 1, j), (I + 1, j)):
+                    grown[key] = grown.get(key, 0) + b
+            betti = grown
     return BigradedRanks.from_dict(betti)
 
 

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import resource
@@ -232,22 +233,66 @@ def test_pd_edge_count_checked_before_allocation(tmp_path):
 
 
 def test_crossing_budget_exit_3(tmp_path, capsys, monkeypatch):
-    def refuse(pd, vertex):
-        raise RuntimeError("the cube must not be built")
+    # Record the object count of every scanning step that gets built.
+    built = []
+    build = khovanov._Step.build
 
-    monkeypatch.setattr(khovanov, "_vertex_circles", refuse)
-    over = " ".join(["1"] * (khovanov.MAX_CROSSINGS + 1))
-    code, out, err = run(capsys, ["invariants", over, "--strands", "2", "--khovanov"])
-    assert (code, out) == (3, "")
-    assert f"{khovanov.MAX_CROSSINGS + 1} crossings exceed" in err
+    def recording(step):
+        build(step)
+        built.append(len(step.cx.objects))
+
+    monkeypatch.setattr(khovanov._Step, "build", recording)
+    pd = khovanov.braid_to_pd(parse_braid_word(KSTAR_TEXT, 3))
+    expected = khovanov.reduced_khovanov(pd)
+    peak = max(built)
+    # A diagram at the budget proceeds.
+    monkeypatch.setattr(khovanov, "MAX_OBJECTS", peak)
+    assert khovanov.reduced_khovanov(pd) == expected
+    # Over it, both input paths exit 3 before the oversized step is built.
+    monkeypatch.setattr(khovanov, "MAX_OBJECTS", peak - 1)
     pd_file = tmp_path / "over.pd"
-    pd_file.write_text(khovanov.pd_to_text(khovanov.braid_to_pd(parse_braid_word(over, 2))))
-    code, out, err = run(capsys, ["invariants", "--pd-file", str(pd_file), "--khovanov"])
+    pd_file.write_text(khovanov.pd_to_text(pd))
+    for argv in (["invariants", KSTAR_TEXT, "--strands", "3", "--khovanov"],
+                 ["invariants", "--pd-file", str(pd_file), "--khovanov"]):
+        built.clear()
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert f"objects, over the budget of {peak - 1}" in err
+        assert built and max(built) < peak
+        assert len(built) < len(pd.crossings)
+
+
+def test_homfly_term_budget_exit_3(capsys, monkeypatch):
+    # This word's Hecke expansion peaks at 8 basis terms.
+    homfly = importlib.import_module("knotbound.homfly")
+    argv = ["invariants", "1 1 2 2 3 3 1 2 3", "--strands", "4", "--homfly"]
+    monkeypatch.setattr(homfly, "MAX_TERMS", 7)
+    code, out, err = run(capsys, argv)
     assert (code, out) == (3, "")
-    # A diagram at the budget goes on to build the cube.
-    at = parse_braid_word(" ".join(["1"] * khovanov.MAX_CROSSINGS), 2)
-    with pytest.raises(RuntimeError, match="must not be built"):
-        khovanov.reduced_khovanov(khovanov.braid_to_pd(at))
+    assert "needs 8 terms, over the budget of 7" in err
+    code, out, err = run(capsys, ["bounds", "1 1 2 2 3 3 1 2 3", "--strands", "4"])
+    assert (code, out) == (3, "")
+    monkeypatch.setattr(homfly, "MAX_TERMS", 8)
+    assert run(capsys, argv)[0] == 0
+
+
+def test_family_elrifai_k2_invariants_cached(tmp_path, capsys):
+    # 22 crossings: out of reach of the cube of resolutions.
+    from knotbound.braid import elrifai_k_word
+    from knotbound.khovanov import BigradedRanks
+    from knotbound.verify import euler_matches
+
+    argv = ["family", "elrifai-k", "--k", "2", "--emit", "invariants", "--json",
+            "--cache-dir", str(tmp_path)]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    payload = json.loads(out)
+    ranks = BigradedRanks.from_dict({(i, j): r for i, j, r in payload["khovanov"]["ranks"]})
+    assert ranks.total_rank() == 29
+    assert euler_matches(elrifai_k_word(2), ranks)
+    (record,) = ResultCache(str(tmp_path)).records()
+    assert all(getattr(record, name) is not None for name in INVARIANTS)
+    assert run(capsys, argv) == (0, out, "")
 
 
 def test_non_utf8_pd_file_exit_2(tmp_path, capsys):

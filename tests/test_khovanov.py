@@ -1,8 +1,9 @@
 import copy
 import random
+from dataclasses import replace
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knotbound.braid import (
@@ -24,6 +25,7 @@ from knotbound.khovanov import (
 )
 from knotbound.verify import KHOVANOV_MAIN, KHOVANOV_MAIN_POINCARE, euler_matches
 from conftest import random_word
+from khovanov_cube import cube_khovanov
 
 
 # --- planar diagrams ----------------------------------------------------------
@@ -111,17 +113,24 @@ def test_knot_total_rank_alternating_sum():
         assert ranks.total_rank() % 2 == 1
 
 
+def component_tables(w):
+    """Reduced tables over one marked edge per component, as a multiset."""
+    pd = braid_to_pd(w)
+    return sorted(reduced_khovanov(replace(pd, marked_edge=e)).ranks
+                  for e in pd.component_edges())
+
+
 def test_invariance_under_markov_moves():
     rng = random.Random(42)
     for _ in range(10):
         n = rng.choice([2, 3])
         w = random_word(rng, n, 6)
-        ranks = reduced_khovanov(braid_to_pd(w))
+        tables = component_tables(w)
         g = rng.choice([g for g in range(1, n)] + [-g for g in range(1, n)])
-        assert reduced_khovanov(braid_to_pd(conjugate(w, BraidWord(n, (g,))))) == ranks
-        assert reduced_khovanov(braid_to_pd(stabilize(w, 1))) == ranks
-        assert reduced_khovanov(braid_to_pd(stabilize(w, -1))) == ranks
-        assert reduced_khovanov(braid_to_pd(free_reduce(w))) == ranks
+        assert component_tables(conjugate(w, BraidWord(n, (g,)))) == tables
+        assert component_tables(stabilize(w, 1)) == tables
+        assert component_tables(stabilize(w, -1)) == tables
+        assert component_tables(free_reduce(w)) == tables
 
 
 def test_mirror_reflection():
@@ -130,6 +139,52 @@ def test_mirror_reflection():
         w = random_word(rng, rng.choice([2, 3]), 6)
         ranks = reduced_khovanov(braid_to_pd(w))
         assert reduced_khovanov(braid_to_pd(mirror(w))) == ranks.mirror()
+
+
+@st.composite
+def braid_words(draw, max_strands=4, max_letters=9):
+    """Words on 1..max_strands strands: knots, links and split closures.
+
+    Half of them are positive, since those are more often homologically
+    thick, where a wrong sign in the differential shows.
+    """
+    n = draw(st.integers(1, max_strands))
+    gens = list(range(1, n))
+    if not draw(st.booleans()):
+        gens += [-g for g in gens]
+    letters = draw(st.lists(st.sampled_from(gens), max_size=max_letters)) if gens else []
+    return BraidWord(n, tuple(letters))
+
+
+@st.composite
+def scrambled_diagrams(draw):
+    """A closure's diagram with its crossings shuffled and any edge marked."""
+    pd = braid_to_pd(draw(braid_words()))
+    return replace(pd, crossings=tuple(draw(st.permutations(pd.crossings))),
+                   marked_edge=draw(st.integers(0, pd.n_edges - 1)))
+
+
+# The cube takes about 0.15 s at 9 crossings, so examples are few.  The
+# torus knot T(3, 4) is the first knot whose homology is thick.
+@settings(max_examples=50, deadline=None)
+@given(scrambled_diagrams())
+@example(braid_to_pd(BraidWord(3, (1, 2) * 4)))
+def test_scanner_matches_cube_oracle(pd):
+    assert reduced_khovanov(pd) == cube_khovanov(pd)
+
+
+@settings(max_examples=100, deadline=None)
+@given(braid_words(max_letters=7), st.data())
+def test_markov_invariance_over_components(w, data):
+    # A link's reduced table depends on the marked component, so conjugation
+    # and stabilization must keep the multiset over all components.
+    gens = [g for g in range(1, w.strands)] + [-g for g in range(1, w.strands)]
+    tables = component_tables(w)
+    if gens:
+        by = data.draw(st.lists(st.sampled_from(gens), min_size=1, max_size=2))
+        assert component_tables(conjugate(w, BraidWord(w.strands, tuple(by)))) == tables
+    sign = data.draw(st.sampled_from([1, -1]))
+    assert component_tables(stabilize(w, sign)) == tables
 
 
 def test_split_components_handled():
