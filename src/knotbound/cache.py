@@ -1,11 +1,15 @@
 """Advisory JSON-lines result cache keyed by a word-level closure key.
 
-One record per closure, append-only with dedupe on store.  A corrupt line
-(not UTF-8, or not a record of well-typed fields), or a served invariant
-with malformed terms, is skipped with a warning and recomputed; it never
-aborts a computation, and the next append starts on a line of its own.  A
-record of another or no ``CACHE_VERSION`` is ignored without a warning, and
-the next store appends a current one.  A link's reduced Khovanov table
+One record per closure, append-only with dedupe on store.  A lookup of key
+k decodes only k's lines and the lines with no readable key, and skips the
+lines that carry another key; ``records`` (``cache list``) decodes all.  A
+corrupt line (not UTF-8, or not a record of well-typed fields), or a served
+invariant with malformed terms, is skipped with a warning and recomputed; it
+never aborts a computation, and the next append starts on a line of its own.
+A lookup warns only about lines it could serve: a corrupt line of another
+key is reported by ``cache list`` and by lookups of that key.  A record of
+another or no ``CACHE_VERSION`` is ignored without a warning, and the next
+store appends a current one.  A link's reduced Khovanov table
 depends on which component carries the marked edge, which conjugation moves,
 so it is never stored or served.  The cache assumes a single writer:
 concurrent processes appending to one file are not coordinated.  The location
@@ -19,7 +23,7 @@ import json
 import os
 import typing
 import warnings
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -28,6 +32,10 @@ ENV_VAR = "KNOTBOUND_CACHE"
 _FILE_NAME = "invariants.jsonl"
 # Bump when an engine's output or the record layout changes.
 CACHE_VERSION = 3
+# Every line is written with sort_keys and json's default separators, so the
+# line of key k holds _KEY_FIELD + json.dumps(k).
+_KEY_FIELD = b'"canonical_key": '
+_KEY_MARK = _KEY_FIELD + b'"'
 # The computed fields of a record, in the order the CLI fills them.
 INVARIANTS = ("homfly", "khovanov", "signature", "determinant")
 
@@ -71,7 +79,7 @@ class InvariantRecord:
         return InvariantRecord(**kwargs)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps({n: getattr(self, n) for n in _NAMES}, sort_keys=True)
 
     @staticmethod
     def from_json(line: str) -> "InvariantRecord":
@@ -127,14 +135,15 @@ def _servable(rec: InvariantRecord) -> InvariantRecord:
 
 
 class ResultCache:
-    """Load-once, append-on-store view of the JSONL cache file."""
+    """Append-on-store view of the JSONL cache file.  A lookup reads the file
+    and decodes only the lines that can hold its key; ``records`` decodes all."""
 
     def __init__(self, directory: Optional[str] = None):
         if directory is None:
             directory = os.environ.get(ENV_VAR)
         self.path: Optional[Path] = Path(directory) / _FILE_NAME if directory else None
-        self._records: dict[str, InvariantRecord] = {}
-        self._loaded = False
+        # The merged record, or None, of each key looked up so far.
+        self._records: dict[str, Optional[InvariantRecord]] = {}
         # The file ends inside a line, so the next append starts a new one.
         self._torn = False
 
@@ -142,20 +151,26 @@ class ResultCache:
     def enabled(self) -> bool:
         return self.path is not None
 
-    def _load(self) -> None:
-        if self._loaded or self.path is None:
-            return
-        self._loaded = True
-        if not self.path.exists():
-            return
+    def _read(self, key: Optional[str]) -> dict[str, InvariantRecord]:
+        """Current-version records of the file, merged per key in file order:
+        of ``key`` alone, or of every key when ``key`` is None."""
+        if self.path is None or not self.path.exists():
+            return {}
         try:
             data = self.path.read_bytes()
         except OSError as exc:
             warnings.warn(f"cache read failed, continuing without it: {exc}")
-            return
+            return {}
         self._torn = data[-1:] not in (b"", b"\n")
-        records, from_json = self._records, InvariantRecord.from_json
-        for lineno, line in enumerate(data.splitlines(), 1):
+        lines = enumerate(data.splitlines(), 1)
+        if key is not None:
+            # Skip the lines that carry another key; decode the rest.  find(),
+            # not `in`: bytes `in` first tries its operand as an integer.
+            needle = _KEY_FIELD + json.dumps(key).encode()
+            lines = [(n, line) for n, line in lines
+                     if line.find(needle) >= 0 or line.find(_KEY_MARK) < 0]
+        records, from_json = {}, InvariantRecord.from_json
+        for lineno, line in lines:
             if not line.strip():
                 continue
             try:
@@ -164,15 +179,21 @@ class ResultCache:
             except ValueError as exc:
                 warnings.warn(f"skipping corrupt cache line {lineno}: {exc}")
                 continue
-            if rec.version != CACHE_VERSION:
+            if rec.version != CACHE_VERSION or (
+                    key is not None and rec.canonical_key != key):
                 continue
             known = records.get(rec.canonical_key)
             records[rec.canonical_key] = rec.merged_with(known) if known else rec
+        return records
+
+    def _record(self, key: str) -> Optional[InvariantRecord]:
+        if key not in self._records:
+            self._records[key] = self._read(key).get(key)
+        return self._records[key]
 
     def load(self, key: str) -> Optional[InvariantRecord]:
         """The record of ``key``, with only the invariants it can serve."""
-        self._load()
-        rec = self._records.get(key)
+        rec = self._record(key)
         if rec is not None:
             rec = self._records[key] = _servable(rec)
         return rec
@@ -181,8 +202,7 @@ class ResultCache:
         """Append the record unless an equal-or-richer one is present."""
         if self.path is None:
             return
-        self._load()
-        known = self._records.get(record.canonical_key)
+        known = self._record(record.canonical_key)
         record = _servable(record.merged_with(known) if known else record)
         if record == known:
             return
@@ -197,11 +217,9 @@ class ResultCache:
             warnings.warn(f"cache write failed, continuing without it: {exc}")
 
     def records(self) -> list[InvariantRecord]:
-        self._load()
-        return sorted(self._records.values(), key=lambda r: r.canonical_key)
+        return sorted(self._read(None).values(), key=lambda r: r.canonical_key)
 
     def clear(self) -> None:
         if self.path is not None and self.path.exists():
             self.path.unlink()
         self._records = {}
-        self._loaded = True

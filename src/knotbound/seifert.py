@@ -23,14 +23,15 @@ Signatures are reported with the sign convention that makes the closure of
 sigma_1^3 come out at +2: the negative of the raw symmetrised form, with
 each zero eigenvalue of a degenerate (link) form counting +1 before the
 global negation.  That one-sided convention agrees with the plain sign
-count on every nondegenerate form and is computed exactly by rational
-congruence diagonalisation.
+count on every nondegenerate form and is computed exactly by congruence
+diagonalisation in integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .braid import BraidWord, BraidError, EngineInconsistency, closure_components
 from .laurent import LaurentPoly1
@@ -144,10 +145,13 @@ def _bareiss_det(rows: list[list[int]]) -> int:
 def _inertia(rows: list[list[int]]) -> tuple[int, int, int]:
     """(positive, negative, zero) eigenvalue counts of a symmetric matrix.
 
-    Exact over the rationals, by congruence diagonalisation; hyperbolic
-    blocks with an all-zero diagonal are absorbed by a row/column addition.
+    Exact, by congruence diagonalisation in integers: after pivot p the
+    trailing block becomes sign(p) * (p * a[r][c] - a[r][k] * a[k][c]), then
+    is divided by its gcd; both steps keep the inertia (Sylvester's law).
+    Hyperbolic blocks with an all-zero diagonal are absorbed by a row/column
+    addition.
     """
-    a = [[Fraction(x) for x in row] for row in rows]
+    a = [list(row) for row in rows]
     m = len(a)
     pos = neg = 0
     for k in range(m):
@@ -165,22 +169,20 @@ def _inertia(rows: list[list[int]]) -> tuple[int, int, int]:
                     a[k][c] += a[other][c]
                 for r in range(k, m):
                     a[r][k] += a[r][other]
-        pivot = a[k][k]
-        if pivot == 0:
-            continue
+        pivot, top = a[k][k], a[k]
         if pivot > 0:
             pos += 1
         else:
             neg += 1
-        for r in range(k + 1, m):
-            factor = a[r][k] / pivot
-            if factor:
-                for c in range(k, m):
-                    a[r][c] -= factor * a[k][c]
-        for c in range(k + 1, m):
-            a[k][c] = Fraction(0)
-        for r in range(k + 1, m):
-            a[r][k] = Fraction(0)
+        sign = 1 if pivot > 0 else -1
+        for row in a[k + 1:]:
+            lead = row[k]
+            for c in range(k + 1, m):
+                row[c] = sign * (pivot * row[c] - lead * top[c])
+        g = gcd(*(x for row in a[k + 1:] for x in row[k + 1:]))
+        if g > 1:
+            for row in a[k + 1:]:
+                row[k + 1:] = [x // g for x in row[k + 1:]]
     return pos, neg, m - pos - neg
 
 

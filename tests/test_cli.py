@@ -1,14 +1,17 @@
 import importlib
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
+import tempfile
 import warnings
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotbound import khovanov
@@ -18,6 +21,7 @@ from knotbound.cache import (
     INVARIANTS,
     InvariantRecord,
     ResultCache,
+    _servable,
     key_string,
 )
 from knotbound.cli import build_parser, main
@@ -502,6 +506,7 @@ records = st.builds(
 
 @given(records, records)
 def test_record_round_trip_and_merge(rec, earlier):
+    assert rec.to_json() == json.dumps(asdict(rec), sort_keys=True)
     assert InvariantRecord.from_json(rec.to_json()) == rec
     merged = rec.merged_with(earlier)
     for name in INVARIANTS:
@@ -510,6 +515,122 @@ def test_record_round_trip_and_merge(rec, earlier):
     assert merged.created == (earlier.created or rec.created)
     for name in ("canonical_key", "strands", "writhe", "components", "version"):
         assert getattr(merged, name) == getattr(rec, name)
+
+
+# --- per-key reads --------------------------------------------------------------
+
+def _full_decode(data: bytes) -> dict:
+    """Every current-version record of a cache file, merged per key in file order."""
+    merged = {}
+    for line in data.splitlines():
+        try:
+            rec = InvariantRecord.from_json(line.decode())
+        except ValueError:
+            continue
+        if rec.version == CACHE_VERSION:
+            known = merged.get(rec.canonical_key)
+            merged[rec.canonical_key] = rec.merged_with(known) if known else rec
+    return merged
+
+
+def _warned_lines(caught) -> list[int]:
+    return [int(re.search(r"corrupt cache line (\d+)", str(w.message)).group(1))
+            for w in caught if "corrupt cache line" in str(w.message)]
+
+
+CACHE_KEYS = ["k", "k2", 'q"uote', "back\\slash", "é", "(3,(1,2))", "",
+              '"canonical_key": "k"']
+small = st.integers(-3, 3)
+key_records = st.builds(
+    InvariantRecord,
+    canonical_key=st.sampled_from(CACHE_KEYS),
+    strands=small, writhe=small, components=st.sampled_from([1, 2]),
+    homfly=st.none() | st.fixed_dictionaries(
+        {"terms": st.lists(st.lists(small, min_size=3, max_size=3), max_size=2),
+         "clearing": small}),
+    khovanov=st.none() | st.lists(st.lists(small, min_size=3, max_size=3), max_size=2),
+    signature=st.none() | small, determinant=st.none() | small,
+    created=st.sampled_from(["", "t0", "t1"]),
+    version=st.sampled_from([CACHE_VERSION, CACHE_VERSION, None, 2]),
+)
+corrupt_lines = st.sampled_from([
+    b"[]", b"null", b"", b"   ", b"\xff\xfe", b"not json",
+    json.dumps({"canonical_key": ["k"]}).encode(),
+]) | key_records.map(lambda r: r.to_json().encode()[:-7]) | key_records.map(
+    lambda r: json.dumps({**asdict(r), "strands": None}, sort_keys=True).encode())
+cache_lines = st.lists(key_records.map(lambda r: r.to_json().encode()) | corrupt_lines,
+                       max_size=12)
+
+
+@settings(deadline=None)
+@given(cache_lines, st.booleans())
+def test_cache_load_matches_full_decode(lines, final_newline):
+    data = b"\n".join(lines) + (b"\n" if final_newline and lines else b"")
+    full = _full_decode(data)
+    with tempfile.TemporaryDirectory() as d, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        (Path(d) / "invariants.jsonl").write_bytes(data)
+        assert ResultCache(d).records() == sorted(full.values(),
+                                                  key=lambda r: r.canonical_key)
+        for key in CACHE_KEYS + ["missing"]:
+            expected = _servable(full[key]) if key in full else None
+            assert ResultCache(d).load(key) == expected, key
+
+
+def test_cache_load_decodes_only_its_key(tmp_path, monkeypatch):
+    recs = [InvariantRecord(canonical_key=f"(3,(1,{i}))", strands=3, writhe=i,
+                            components=1, signature=i % 5) for i in range(200)]
+    lines = [r.to_json() for r in recs]
+    # A second, partial line of one key, and two lines with no readable key.
+    lines[150:150] = [replace(recs[57], signature=None, determinant=7).to_json(), "[]"]
+    lines.append("null")
+    (tmp_path / "invariants.jsonl").write_text("\n".join(lines) + "\n")
+    decoded = []
+    real = InvariantRecord.from_json
+
+    def counting(line):
+        decoded.append(line)
+        return real(line)
+
+    monkeypatch.setattr(InvariantRecord, "from_json", staticmethod(counting))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rec = ResultCache(str(tmp_path)).load(recs[57].canonical_key)
+    assert decoded == [lines[57], lines[150], "[]", "null"]
+    assert _warned_lines(caught) == [152, 203]
+    assert (rec.writhe, rec.signature, rec.determinant) == (57, 2, 7)
+
+
+def _file_with_corrupt_lines(tmp_path) -> None:
+    """Line 1 a good record of k, line 2 a corrupt record of another key,
+    line 3 a line with no readable key."""
+    good = InvariantRecord(canonical_key="k", strands=2, writhe=1, components=1,
+                           signature=0)
+    other = {**asdict(replace(good, canonical_key="other")), "strands": None}
+    (tmp_path / "invariants.jsonl").write_text(
+        good.to_json() + "\n" + json.dumps(other, sort_keys=True) + "\n[]\n")
+
+
+def test_cache_lookup_warns_only_about_lines_it_could_serve(tmp_path):
+    _file_with_corrupt_lines(tmp_path)
+    for key, warned in (("k", [3]), ("other", [2, 3]), ("missing", [3])):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ResultCache(str(tmp_path)).load(key)
+        assert _warned_lines(caught) == warned, key
+
+
+def test_cache_list_warns_once_per_corrupt_line(tmp_path, capsys):
+    _file_with_corrupt_lines(tmp_path)
+    path = tmp_path / "invariants.jsonl"
+    with path.open("ab") as fh:
+        fh.write(b"\xff\n" + InvariantRecord(canonical_key="z", strands=2, writhe=1,
+                                            components=1).to_json().encode()[:-3] + b"\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run(capsys, ["cache", "list", "--cache-dir", str(tmp_path)])
+    assert code == 0 and "1 record(s)" in out
+    assert _warned_lines(caught) == [2, 3, 4, 5]
 
 
 def test_cache_key_needs_no_normal_form(tmp_path, capsys, monkeypatch):

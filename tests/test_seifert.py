@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knotbound.braid import (
@@ -18,6 +18,7 @@ from knotbound.homfly import homfly
 from knotbound.seifert import (
     DisconnectedSurface,
     NotAKnot,
+    _inertia,
     _interpolate_integer_poly,
     alexander,
     determinant,
@@ -197,3 +198,61 @@ def test_conway_identity_against_homfly(w):
                     for i in range(len(v))])
         z = s - 1 / s
         assert lhs == sum(c * z**ez for (_, ez), c in p.items())
+
+
+def _inertia_over_q(rows):
+    """(positive, negative, zero) counts by congruence diagonalisation over Q."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    m = len(a)
+    pos = neg = 0
+    for k in range(m):
+        if a[k][k] == 0:
+            swap = next((r for r in range(k + 1, m) if a[r][r] != 0), None)
+            if swap is not None:
+                a[k], a[swap] = a[swap], a[k]
+                for row in a:
+                    row[k], row[swap] = row[swap], row[k]
+            else:
+                other = next((c for c in range(k + 1, m) if a[k][c] != 0), None)
+                if other is None:
+                    continue  # zero row in the remaining block
+                for c in range(k, m):
+                    a[k][c] += a[other][c]
+                for r in range(k, m):
+                    a[r][k] += a[r][other]
+        pivot = a[k][k]
+        if pivot > 0:
+            pos += 1
+        else:
+            neg += 1
+        for r in range(k + 1, m):
+            factor = a[r][k] / pivot
+            for c in range(k, m):
+                a[r][c] -= factor * a[k][c]
+        for c in range(k + 1, m):
+            a[k][c] = Fraction(0)
+    return pos, neg, m - pos - neg
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric matrices of size 0-8 with entries in {0, +-1, 2, -3}; the
+    diagonal is zero on a drawn set of indices, often all of them."""
+    m = draw(st.integers(0, 8))
+    zero_diagonal = draw(st.just(set(range(m))) | st.sets(st.integers(0, max(m - 1, 0))))
+    entry = st.sampled_from([0, 1, -1, 2, -3])
+    a = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            if i != j or i not in zero_diagonal:
+                a[i][j] = a[j][i] = draw(entry)
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_matrices())
+@example([[0, 1], [1, 0]])
+@example([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+@example([[0] * 3] * 3)
+def test_integer_inertia_matches_rational(rows):
+    assert _inertia(rows) == _inertia_over_q(rows)
