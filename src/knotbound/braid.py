@@ -8,7 +8,9 @@ representation.
 
 Braid equality in B_n, which only destabilization needs, is decided through
 the left-greedy Garside normal form Delta^d p_1 ... p_k, with each canonical
-factor a permutation braid encoded by its permutation in one-line notation.
+factor a permutation braid encoded by its permutation in one-line notation,
+built in one pass over the letters (Elrifai and Morton, "Algorithms for
+positive braids", Quart. J. Math. Oxford 45, 1994).
 The result cache keys a closure at the word level, by the least cyclic
 rotation of the cyclically reduced word, so it needs no normal form.
 """
@@ -286,59 +288,42 @@ class GarsideNormalForm:
         return tuple(word)
 
 
-def _left_weight(factors: list[Perm], n: int) -> None:
-    """Slide generators leftward until every adjacent pair is left-weighted."""
-    ident = _identity(n)
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(factors) - 1):
-            a, b = factors[k], factors[k + 1]
-            if b == ident:
-                continue
-            movable = _starting_set(b) - _finishing_set(a)
-            while movable:
-                s = min(movable)
-                t = _transposition(n, s)
-                a = _perm_mul(a, t)
-                b = _perm_mul(t, b)
-                changed = True
-                if b == ident:
-                    break
-                movable = _starting_set(b) - _finishing_set(a)
-            factors[k], factors[k + 1] = a, b
-
-
 def garside_normal_form(w: BraidWord) -> GarsideNormalForm:
-    """Unique left-greedy normal form of the braid element of w."""
+    """Unique left-greedy normal form of the braid element of w.
+
+    Letter by letter, the left-weighted factor list is right-multiplied by one
+    simple element; one right-to-left pass of pair normalisations, stopping at
+    the first pair already left-weighted, keeps it left-weighted.
+    """
     n = w.strands
     ident = _identity(n)
     delta = _half_twist(n)
+    infimum = 0
     factors: list[Perm] = []
-    powers: list[int] = []
     for e in w.letters:
         t = _transposition(n, abs(e))
-        if e > 0:
-            factors.append(t)
-            powers.append(0)
-        else:
-            # sigma_i^{-1} = Delta^{-1} (Delta sigma_i^{-1}); the parenthesised
-            # part is the permutation braid of delta * t.
-            factors.append(_perm_mul(delta, t))
-            powers.append(-1)
-    # Push all Delta powers to the front; tau has order two.
-    suffix = 0
-    for k in range(len(factors) - 1, -1, -1):
-        if suffix % 2:
-            factors[k] = _tau(factors[k])
-        suffix += powers[k]
-    infimum = suffix
-    _left_weight(factors, n)
-    while factors and factors[0] == delta:
-        factors.pop(0)
-        infimum += 1
-    while factors and factors[-1] == ident:
-        factors.pop()
+        if e < 0:
+            # x sigma_i^{-1} = Delta^{-1} tau(x) (Delta sigma_i^{-1}); the
+            # parenthesised part is the permutation braid of delta * t.
+            infimum -= 1
+            factors = [_tau(f) for f in factors]
+            t = _perm_mul(delta, t)
+        factors.append(t)
+        for k in range(len(factors) - 2, -1, -1):
+            a, b = factors[k], factors[k + 1]
+            movable = _starting_set(b) - _finishing_set(a)
+            if not movable:
+                break
+            while movable:
+                s = _transposition(n, min(movable))
+                a, b = _perm_mul(a, s), _perm_mul(s, b)
+                movable = _starting_set(b) - _finishing_set(a)
+            factors[k], factors[k + 1] = a, b
+        while factors and factors[-1] == ident:
+            factors.pop()
+        while factors and factors[0] == delta:
+            factors.pop(0)
+            infimum += 1
     return GarsideNormalForm(n, infimum, tuple(factors))
 
 

@@ -45,15 +45,11 @@ __all__ = [
 ]
 
 
-def key_string(key: tuple) -> str:
+def key_string(key) -> str:
     """Flat string form of a canonical closure key, stable across runs."""
-
-    def flat(obj) -> str:
-        if isinstance(obj, tuple):
-            return "(" + ",".join(flat(x) for x in obj) + ")"
-        return str(obj)
-
-    return flat(key)
+    if isinstance(key, tuple):
+        return "(" + ",".join(map(key_string, key)) + ")"
+    return str(key)
 
 
 @dataclass(frozen=True)

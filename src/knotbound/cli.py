@@ -7,7 +7,8 @@ suite), ``cache`` (inspect or clear the result cache).
 
 Exit codes: 0 success, 1 failed verification claim, 2 usage or parse
 error, 3 precondition failure (e.g. a disconnected Seifert surface, or an
-input over the Khovanov object budget or the HOMFLYPT term budget).
+input over the Khovanov object budget, the HOMFLYPT term budget or the
+Seifert matrix budget).
 JSON output is deterministic: same input, byte-identical output.
 """
 
@@ -35,7 +36,7 @@ from .khovanov import (
     reduced_khovanov,
 )
 from .laurent import AQPolynomial, to_aq
-from .seifert import DisconnectedSurface, NotAKnot, determinant, signature
+from .seifert import DisconnectedSurface, NotAKnot, TooManyLoops, determinant, signature
 from .verify import run_claims
 
 USAGE_ERROR = 2
@@ -263,7 +264,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return USAGE_ERROR
     try:
         return args.func(args)
-    except (DisconnectedSurface, NotAKnot, TooManyCrossings, TooManyTerms) as exc:
+    except (DisconnectedSurface, NotAKnot, TooManyCrossings, TooManyLoops,
+            TooManyTerms) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return PRECONDITION_ERROR
     except (BraidError, ParityError, InvertedSpan, SpanOffLines, OSError) as exc:

@@ -76,21 +76,12 @@ class LaurentPoly1:
                 d[e] = d.get(e, 0) + c1 * c2
         return LaurentPoly1.from_dict(d)
 
-    def shift(self, k: int) -> "LaurentPoly1":
-        return LaurentPoly1(tuple((e + k, c) for e, c in self.terms))
-
     def reciprocal(self) -> "LaurentPoly1":
         """Substitute the variable by its inverse."""
         return LaurentPoly1.from_dict({-e: c for e, c in self.terms})
 
     def evaluate(self, value: Fraction) -> Fraction:
         return sum((Fraction(c) * value**e for e, c in self.terms), Fraction(0))
-
-    def support(self) -> tuple[int, int]:
-        if not self.terms:
-            raise ZeroPolynomial("zero polynomial has no degree span")
-        es = [e for e, _ in self.terms]
-        return min(es), max(es)
 
     def render(self, var: str = "t") -> str:
         if not self.terms:

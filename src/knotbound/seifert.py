@@ -16,8 +16,12 @@ Matrix entries follow the disk-and-band geometry:
   interleaving direction.
 
 The coupling conventions are pinned by the Conway identity
-det(s V - s^{-1} V^T) = P(a=1, z=s-s^{-1}) against the skein engine, which
-holds exactly on every tested word.
+det(s V - s^{-1} V^T) = P(a=1, z=s-s^{-1}) against the Hecke expansion,
+which holds exactly on every tested word.
+
+The Alexander polynomial of a knot is not read from this matrix: it comes
+from the HOMFLYPT polynomial through the same identity, Delta(q^2) =
+P(a=1, z=q-q^{-1}).
 
 Signatures are reported with the sign convention that makes the closure of
 sigma_1^3 come out at +2: the negative of the raw symmetrised form, with
@@ -30,16 +34,18 @@ diagonalisation in integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .braid import BraidWord, BraidError, EngineInconsistency, closure_components
-from .laurent import LaurentPoly1
+from .homfly import homfly
+from .laurent import LaurentPoly1, to_aq
 
 __all__ = [
     "SeifertData",
     "DisconnectedSurface",
     "NotAKnot",
+    "TooManyLoops",
+    "MAX_LOOPS",
     "seifert_matrix",
     "signature",
     "determinant",
@@ -53,6 +59,16 @@ class DisconnectedSurface(BraidError):
 
 class NotAKnot(BraidError):
     """Operation defined for one-component closures only."""
+
+
+# Most basis loops (matrix rows) a Seifert matrix may have.  Signature and
+# determinant are cubic in the rows; at this bound one elimination takes
+# about a second.
+MAX_LOOPS = 256
+
+
+class TooManyLoops(BraidError):
+    """The Seifert matrix would have more than ``MAX_LOOPS`` rows."""
 
 
 @dataclass(frozen=True)
@@ -83,6 +99,12 @@ def seifert_matrix(w: BraidWord) -> SeifertData:
     if missing:
         raise DisconnectedSurface(
             f"generator(s) {missing} absent; the Seifert surface is disconnected"
+        )
+    # Each generator with c bands gives c - 1 loops.
+    rows = len(letters) - (n - 1)
+    if rows > MAX_LOOPS:
+        raise TooManyLoops(
+            f"the Seifert matrix needs {rows} rows, over the budget of {MAX_LOOPS}"
         )
 
     # Loops: consecutive occurrences of each generator, left to right.
@@ -205,58 +227,14 @@ def determinant(w: BraidWord) -> int:
 
 
 def alexander(w: BraidWord) -> LaurentPoly1:
-    """Symmetrised Alexander polynomial det(V - t V^T), knots only.
+    """Symmetrised Alexander polynomial of a knot, Delta(1) = 1.
 
-    Normalised so Delta(t) = Delta(1/t) and Delta(1) = 1.
+    From the Conway identity: Delta(q^2) = P(a=1, z=q-q^{-1}), so every
+    exponent of the HOMFLYPT polynomial at a = 1 is halved.
     """
     if closure_components(w) != 1:
         raise NotAKnot("Alexander normalisation requires a one-component closure")
-    data = seifert_matrix(w)
-    m = data.size
-    v = data.matrix
-    if m == 0:
-        return LaurentPoly1.monomial(0, 1)
-    # det(V - t V^T) has degree <= m; interpolate from m + 1 integer samples.
-    samples = []
-    points = list(range(m + 1))
-    for t in points:
-        rows = [[v[i][j] - t * v[j][i] for j in range(m)] for i in range(m)]
-        samples.append(_bareiss_det(rows))
-    coeffs = _interpolate_integer_poly(points, samples)
-    poly = LaurentPoly1.from_dict({e: c for e, c in enumerate(coeffs)})
-    if poly.is_zero():
-        raise NotAKnot("vanishing Alexander determinant on a knot surface")
-    lo, hi = poly.support()
-    if (lo + hi) % 2:
-        raise NotAKnot("odd-span Alexander polynomial; non-knot input")
-    poly = poly.shift(-(lo + hi) // 2)
-    if poly.evaluate(Fraction(1)) == -1:
-        poly = -poly
-    if poly != poly.reciprocal() or poly.evaluate(Fraction(1)) != 1:
-        raise NotAKnot("Alexander normalisation failed; non-knot input")
-    return poly
-
-
-def _interpolate_integer_poly(points: list[int], values: list[int]) -> list[int]:
-    """Lagrange interpolation that must land on integer coefficients."""
-    k = len(points)
-    coeffs = [Fraction(0)] * k
-    for i, (xi, yi) in enumerate(zip(points, values)):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, xj in enumerate(points):
-            if j == i:
-                continue
-            denom *= xi - xj
-            # multiply basis by (x - xj)
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for d, c in enumerate(basis):
-                nxt[d] -= c * xj
-                nxt[d + 1] += c
-            basis = nxt
-        scale = Fraction(yi) / denom
-        for d, c in enumerate(basis):
-            coeffs[d] += c * scale
-    if any(c.denominator != 1 for c in coeffs):
-        raise EngineInconsistency(f"interpolated coefficients {coeffs} are not integers")
-    return [int(c) for c in coeffs]
+    terms = to_aq(homfly(w)).q_polynomial_at_a(0).as_dict()
+    if any(e % 2 for e in terms) or sum(terms.values()) != 1:
+        raise EngineInconsistency(f"HOMFLYPT at a = 1 is no Alexander polynomial: {terms}")
+    return LaurentPoly1.from_dict({e // 2: c for e, c in terms.items()})

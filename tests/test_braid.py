@@ -1,15 +1,24 @@
+import operator
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knotbound.braid import (
     BraidError,
     BraidWord,
     FAMILIES,
+    GarsideNormalForm,
     NotDestabilizable,
     QPFactorization,
+    _finishing_set,
+    _half_twist,
+    _identity,
+    _perm_mul,
+    _starting_set,
+    _tau,
+    _transposition,
     bm_minus_word,
     bm_word,
     canonical_closure_key,
@@ -149,6 +158,80 @@ def test_garside_relation_insertion(letters, pos_seed, i, far):
     assert garside_normal_form(BraidWord(4, tuple(one))) == garside_normal_form(
         BraidWord(4, tuple(two))
     )
+
+
+def _left_weight(factors, n):
+    """Slide generators leftward until every adjacent pair is left-weighted."""
+    ident = _identity(n)
+    changed = True
+    while changed:
+        changed = False
+        for k in range(len(factors) - 1):
+            a, b = factors[k], factors[k + 1]
+            if b == ident:
+                continue
+            movable = _starting_set(b) - _finishing_set(a)
+            while movable:
+                s = min(movable)
+                t = _transposition(n, s)
+                a = _perm_mul(a, t)
+                b = _perm_mul(t, b)
+                changed = True
+                if b == ident:
+                    break
+                movable = _starting_set(b) - _finishing_set(a)
+            factors[k], factors[k + 1] = a, b
+
+
+def _garside_fixpoint(w):
+    """Oracle: one factor per letter, every Delta moved to the front by a
+    tau-parity pass, then left-weighting sweeps until nothing changes."""
+    n = w.strands
+    ident = _identity(n)
+    delta = _half_twist(n)
+    factors = []
+    powers = []
+    for e in w.letters:
+        t = _transposition(n, abs(e))
+        if e > 0:
+            factors.append(t)
+            powers.append(0)
+        else:
+            factors.append(_perm_mul(delta, t))
+            powers.append(-1)
+    suffix = 0
+    for k in range(len(factors) - 1, -1, -1):
+        if suffix % 2:
+            factors[k] = _tau(factors[k])
+        suffix += powers[k]
+    infimum = suffix
+    _left_weight(factors, n)
+    while factors and factors[0] == delta:
+        factors.pop(0)
+        infimum += 1
+    while factors and factors[-1] == ident:
+        factors.pop()
+    return GarsideNormalForm(n, infimum, tuple(factors))
+
+
+@st.composite
+def mixed_sign_words(draw):
+    """Words on 1-6 strands, up to 30 letters: all positive, all inverse or mixed."""
+    n = draw(st.integers(1, 6))
+    if n == 1:
+        return BraidWord(1, ())
+    gen = st.integers(1, n - 1)
+    letter = draw(st.sampled_from([gen, gen.map(operator.neg), gen | gen.map(operator.neg)]))
+    return BraidWord(n, tuple(draw(st.lists(letter, max_size=30))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_sign_words())
+@example(BraidWord(4, ()))
+@example(BraidWord(3, (-1, -2, -1, -2, -2, -1)))
+@example(BraidWord(5, (-4, -3, -2, -1) * 3))
+def test_garside_matches_fixpoint_oracle(w):
+    assert garside_normal_form(w) == _garside_fixpoint(w)
 
 
 @given(letters_4)

@@ -1,3 +1,4 @@
+import gc
 import importlib
 import json
 import os
@@ -278,6 +279,27 @@ def test_homfly_term_budget_exit_3(capsys, monkeypatch):
     assert (code, out) == (3, "")
     monkeypatch.setattr(homfly, "MAX_TERMS", 8)
     assert run(capsys, argv)[0] == 0
+
+
+def test_seifert_loop_budget_exit_3(capsys):
+    # 258 letters on 2 strands: 257 Seifert loops, one over MAX_LOOPS.
+    word = " ".join(["1"] * 258)
+    code, out, err = run(capsys, ["invariants", word, "--strands", "2", "--seifert"])
+    assert (code, out) == (3, "")
+    assert "needs 257 rows, over the budget of 256" in err
+    assert run(capsys, ["invariants", word, "--strands", "2", "--homfly"])[0] == 0
+
+
+def test_key_string_leaves_no_garbage():
+    key = canonical_closure_key(parse_braid_word("1 -2 1 -2", 3))
+    gc.collect()
+    gc.disable()
+    try:
+        strings = {key_string(key) for _ in range(10)}
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert strings == {"(3,(-2,1,-2,1))"}
 
 
 def test_family_elrifai_k2_invariants_cached(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from knotbound import seifert
 from knotbound.braid import (
     BraidWord,
     EngineInconsistency,
@@ -15,11 +16,12 @@ from knotbound.braid import (
     stabilize,
 )
 from knotbound.homfly import homfly
+from knotbound.laurent import LaurentPoly2
 from knotbound.seifert import (
     DisconnectedSurface,
     NotAKnot,
+    TooManyLoops,
     _inertia,
-    _interpolate_integer_poly,
     alexander,
     determinant,
     seifert_matrix,
@@ -151,10 +153,21 @@ def test_signature_invariance_under_free_reduction():
     assert determinant(free_reduce(w)) == determinant(w)
 
 
-def test_interpolation_guard_raises_on_fractional_coefficients():
-    # The line through (0, 0) and (2, 1) is x / 2.
+@pytest.mark.parametrize("p", [LaurentPoly2.monomial(0, 1), LaurentPoly2.monomial(0, 0, 2)])
+def test_alexander_guard_raises_on_non_alexander_homfly(monkeypatch, p):
+    # z gives the odd exponents of q - q^-1; 2 gives Delta(1) = 2.
+    monkeypatch.setattr(seifert, "homfly", lambda w: p)
     with pytest.raises(EngineInconsistency):
-        _interpolate_integer_poly([0, 2], [0, 1])
+        alexander(BraidWord(2, (1, 1, 1)))
+
+
+def test_loop_budget_boundary(monkeypatch):
+    trefoil = BraidWord(2, (1, 1, 1))
+    monkeypatch.setattr(seifert, "MAX_LOOPS", 2)
+    assert seifert_matrix(trefoil).size == 2
+    monkeypatch.setattr(seifert, "MAX_LOOPS", 1)
+    with pytest.raises(TooManyLoops, match="needs 2 rows, over the budget of 1"):
+        signature(trefoil)
 
 
 @st.composite
