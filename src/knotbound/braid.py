@@ -8,9 +8,14 @@ representation.
 
 Braid equality in B_n, which only destabilization needs, is decided through
 the left-greedy Garside normal form Delta^d p_1 ... p_k, with each canonical
-factor a permutation braid encoded by its permutation in one-line notation,
-built in one pass over the letters (Elrifai and Morton, "Algorithms for
-positive braids", Quart. J. Math. Oxford 45, 1994).
+factor a permutation braid encoded by its permutation in one-line notation.
+A normal form times a simple element, on either side, takes one pass of
+pair normalisations (Elrifai and Morton, "Algorithms for positive braids",
+Quart. J. Math. Oxford 45, 1994; Epstein et al., "Word Processing in
+Groups", 1992, ch. 9).  So a word is normalised letter by letter, and
+destabilization normalises each cyclic rotation once and reaches every
+conjugate by a permutation braid, or its inverse, by one left and one right
+simple-element product.
 The result cache keys a closure at the word level, by the least cyclic
 rotation of the cyclically reduced word, so it needs no normal form.
 """
@@ -28,6 +33,8 @@ __all__ = [
     "BraidError",
     "NotDestabilizable",
     "EngineInconsistency",
+    "TooManyStrands",
+    "MAX_STRANDS",
     "parse_braid_word",
     "free_reduce",
     "cyclic_reduce",
@@ -66,6 +73,15 @@ class BraidError(ValueError):
 
 class NotDestabilizable(BraidError):
     """No destabilizable representative found within the search bound."""
+
+
+# Most strands a parsed braid word may have.  Per-strand work is linear or
+# worse in the strand count; every family and claim uses at most 7 strands.
+MAX_STRANDS = 1000
+
+
+class TooManyStrands(BraidError):
+    """The braid word would have more than ``MAX_STRANDS`` strands."""
 
 
 class EngineInconsistency(RuntimeError):
@@ -115,6 +131,10 @@ def parse_braid_word(text: str, strands: int) -> BraidWord:
     """
     if strands < 1:
         raise BraidError(f"strand count must be positive, got {strands}")
+    if strands > MAX_STRANDS:
+        raise TooManyStrands(
+            f"the braid has {strands} strands, over the budget of {MAX_STRANDS}"
+        )
     letters = []
     for token in text.split():
         try:
@@ -125,25 +145,34 @@ def parse_braid_word(text: str, strands: int) -> BraidWord:
     return BraidWord(strands, tuple(letters))
 
 
-def free_reduce(w: BraidWord) -> BraidWord:
-    """Delete adjacent inverse pairs e, -e until none remain."""
+def _free_reduce(letters: tuple[int, ...]) -> tuple[int, ...]:
     out: list[int] = []
-    for e in w.letters:
+    for e in letters:
         if out and out[-1] == -e:
             out.pop()
         else:
             out.append(e)
-    return w.with_letters(out)
+    return tuple(out)
+
+
+def _cyclic_reduce(letters: tuple[int, ...]) -> tuple[int, ...]:
+    # The inner part of a freely reduced word is freely reduced, so one pass
+    # stripping matching ends finishes the job.
+    letters = _free_reduce(letters)
+    k = 0
+    while 2 * k + 2 <= len(letters) and letters[k] == -letters[-1 - k]:
+        k += 1
+    return letters[k:len(letters) - k]
+
+
+def free_reduce(w: BraidWord) -> BraidWord:
+    """Delete adjacent inverse pairs e, -e until none remain."""
+    return w.with_letters(_free_reduce(w.letters))
 
 
 def cyclic_reduce(w: BraidWord) -> BraidWord:
     """Free reduction that also cancels across the closure seam."""
-    letters = list(free_reduce(w).letters)
-    while len(letters) >= 2 and letters[0] == -letters[-1]:
-        letters = letters[1:-1]
-        red = free_reduce(w.with_letters(letters))
-        letters = list(red.letters)
-    return w.with_letters(letters)
+    return w.with_letters(_cyclic_reduce(w.letters))
 
 
 def writhe(w: BraidWord) -> int:
@@ -203,16 +232,6 @@ def _transposition(n: int, i: int) -> Perm:
     p = list(range(n))
     p[i - 1], p[i] = p[i], p[i - 1]
     return tuple(p)
-
-
-def _starting_set(p: Perm) -> frozenset[int]:
-    """Generators sigma_i left-dividing the permutation braid of p."""
-    return frozenset(i + 1 for i in range(len(p) - 1) if p[i] > p[i + 1])
-
-
-def _finishing_set(p: Perm) -> frozenset[int]:
-    """Generators sigma_i right-dividing the permutation braid of p."""
-    return _starting_set(_perm_inv(p))
 
 
 def _tau(p: Perm) -> Perm:
@@ -288,43 +307,91 @@ class GarsideNormalForm:
         return tuple(word)
 
 
+def _weigh(a: Perm, b: Perm) -> tuple[Perm, Perm] | None:
+    """The left-weighted pair of simple elements with product a b, or None
+    if (a, b) is left-weighted already.
+
+    sigma_{i+1} moves from the front of b to the end of a while it starts b
+    and does not finish a, that is while b[i] > b[i+1] and
+    a^{-1}[i] < a^{-1}[i+1]; a move swaps positions i and i+1 of both.
+    """
+    a_inv = list(_perm_inv(a))
+    b = list(b)
+    last = len(b) - 1
+    moved = False
+    i = 0
+    while i < last:
+        if b[i] > b[i + 1] and a_inv[i] < a_inv[i + 1]:
+            b[i], b[i + 1] = b[i + 1], b[i]
+            a_inv[i], a_inv[i + 1] = a_inv[i + 1], a_inv[i]
+            moved = True
+            # Only the pairs next to i can have become movable.
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    return (_perm_inv(a_inv), tuple(b)) if moved else None
+
+
+def _normalised(n: int, infimum: int, factors: list[Perm],
+                pairs: Iterable[int]) -> GarsideNormalForm:
+    """Weigh the pairs (k, k + 1) in the given order up to the first one
+    already left-weighted, then drop trailing identities and absorb leading
+    half twists into the infimum."""
+    for k in pairs:
+        pair = _weigh(factors[k], factors[k + 1])
+        if pair is None:
+            break
+        factors[k], factors[k + 1] = pair
+    ident = _identity(n)
+    while factors and factors[-1] == ident:
+        factors.pop()
+    delta = _half_twist(n)
+    lead = 0
+    while lead < len(factors) and factors[lead] == delta:
+        lead += 1
+    return GarsideNormalForm(n, infimum + lead, tuple(factors[lead:]))
+
+
+def _right_product(nf: GarsideNormalForm, s: Perm, inverse: bool) -> GarsideNormalForm:
+    """Normal form of nf times the simple element s, or times s^{-1}."""
+    infimum = nf.infimum
+    factors = list(nf.factors)
+    if inverse:
+        # x s^{-1} = Delta^{-1} tau(x) (Delta s^{-1}), and Delta s^{-1} is simple.
+        infimum -= 1
+        factors = [_tau(f) for f in factors]
+        s = _perm_mul(_half_twist(nf.strands), _perm_inv(s))
+    factors.append(s)
+    return _normalised(nf.strands, infimum, factors, range(len(factors) - 2, -1, -1))
+
+
+def _left_product(nf: GarsideNormalForm, s: Perm, inverse: bool) -> GarsideNormalForm:
+    """Normal form of the simple element s, or of s^{-1}, times nf."""
+    infimum = nf.infimum
+    if inverse:
+        # s^{-1} = (s^{-1} Delta) Delta^{-1}, and s^{-1} Delta is simple.
+        infimum -= 1
+        s = _perm_mul(_perm_inv(s), _half_twist(nf.strands))
+    # s Delta^d = Delta^d tau^d(s).
+    if infimum % 2:
+        s = _tau(s)
+    factors = [s, *nf.factors]
+    return _normalised(nf.strands, infimum, factors, range(len(factors) - 1))
+
+
 def garside_normal_form(w: BraidWord) -> GarsideNormalForm:
     """Unique left-greedy normal form of the braid element of w.
 
-    Letter by letter, the left-weighted factor list is right-multiplied by one
-    simple element; one right-to-left pass of pair normalisations, stopping at
-    the first pair already left-weighted, keeps it left-weighted.
+    Starting from the identity, the normal form is right-multiplied by the
+    simple element of each letter in turn (Elrifai and Morton, 1994): one
+    right-to-left pass of pair normalisations, stopping at the first pair
+    already left-weighted, keeps the factors left-weighted.
     """
     n = w.strands
-    ident = _identity(n)
-    delta = _half_twist(n)
-    infimum = 0
-    factors: list[Perm] = []
+    nf = GarsideNormalForm(n, 0, ())
     for e in w.letters:
-        t = _transposition(n, abs(e))
-        if e < 0:
-            # x sigma_i^{-1} = Delta^{-1} tau(x) (Delta sigma_i^{-1}); the
-            # parenthesised part is the permutation braid of delta * t.
-            infimum -= 1
-            factors = [_tau(f) for f in factors]
-            t = _perm_mul(delta, t)
-        factors.append(t)
-        for k in range(len(factors) - 2, -1, -1):
-            a, b = factors[k], factors[k + 1]
-            movable = _starting_set(b) - _finishing_set(a)
-            if not movable:
-                break
-            while movable:
-                s = _transposition(n, min(movable))
-                a, b = _perm_mul(a, s), _perm_mul(s, b)
-                movable = _starting_set(b) - _finishing_set(a)
-            factors[k], factors[k + 1] = a, b
-        while factors and factors[-1] == ident:
-            factors.pop()
-        while factors and factors[0] == delta:
-            factors.pop(0)
-            infimum += 1
-    return GarsideNormalForm(n, infimum, tuple(factors))
+        nf = _right_product(nf, _transposition(n, abs(e)), e < 0)
+    return nf
 
 
 def canonical_closure_key(w: BraidWord) -> tuple:
@@ -337,7 +404,7 @@ def canonical_closure_key(w: BraidWord) -> tuple:
     only through braid relations (``1 2 1`` and ``2 1 2``) get distinct keys,
     which costs cache hits, never correctness.
     """
-    letters = cyclic_reduce(w).letters
+    letters = _cyclic_reduce(w.letters)
     rotations = (letters[s:] + letters[:s] for s in range(len(letters)))
     return (w.strands, min(rotations, default=()))
 
@@ -353,29 +420,37 @@ def destabilize(w: BraidWord) -> tuple[BraidWord, int]:
     once.  Each cyclic rotation of the cyclically reduced word is conjugated
     by the empty word and by every permutation braid of B_n and its inverse;
     both the cyclic reduction of each conjugate and that of its Garside
-    normal-form word are examined, in that order.  Returns the
-    (n-1)-strand word and the sign of the removed crossing.
+    normal-form word are examined, in that order.  Each rotation is
+    normalised once; as every conjugator is a simple element or its inverse,
+    a conjugate's normal form follows from the rotation's by one left and
+    one right simple-element product.  Returns the (n-1)-strand word and the
+    sign of the removed crossing.
     """
     n = w.strands
     if n < 2:
         raise NotDestabilizable("nothing to destabilize on one strand")
     top = n - 1
 
-    conjugators = [BraidWord(n, ())]
+    # (letters c, letters of c^{-1}, permutation of P, whether c spells P^{-1})
+    conjugators: list[tuple] = [((), (), None, False)]
     for p in itertools.permutations(range(n)):
         word = permutation_braid_word(p)
         if word:
-            conjugators.append(BraidWord(n, word))
-            conjugators.append(BraidWord(n, tuple(-e for e in reversed(word))))
+            inv = tuple(-e for e in reversed(word))
+            conjugators.append((word, inv, p, False))
+            conjugators.append((inv, word, p, True))
 
-    reduced = cyclic_reduce(w).letters
+    reduced = _cyclic_reduce(w.letters)
     seen: set[tuple[int, ...]] = set()
     for s in range(max(1, len(reduced))):
-        rotated = BraidWord(n, reduced[s:] + reduced[:s])
-        for c in conjugators:
-            v = conjugate(rotated, c)
-            nf_word = BraidWord(n, garside_normal_form(v).artin_word())
-            for letters in (cyclic_reduce(v).letters, cyclic_reduce(nf_word).letters):
+        rotated = reduced[s:] + reduced[:s]
+        nf = garside_normal_form(BraidWord(n, rotated))
+        for c, c_inv, p, inverse in conjugators:
+            conj_nf = nf if p is None else _right_product(
+                _left_product(nf, p, inverse), p, not inverse
+            )
+            for letters in (_cyclic_reduce(c + rotated + c_inv),
+                            _cyclic_reduce(conj_nf.artin_word())):
                 if letters in seen:
                     continue
                 seen.add(letters)

@@ -7,8 +7,8 @@ suite), ``cache`` (inspect or clear the result cache).
 
 Exit codes: 0 success, 1 failed verification claim, 2 usage or parse
 error, 3 precondition failure (e.g. a disconnected Seifert surface, or an
-input over the Khovanov object budget, the HOMFLYPT term budget or the
-Seifert matrix budget).
+input over the strand budget, the Khovanov object budget, the HOMFLYPT
+term budget or the Seifert matrix budget).
 JSON output is deterministic: same input, byte-identical output.
 """
 
@@ -22,7 +22,7 @@ from dataclasses import asdict, replace
 from typing import Optional
 
 from . import braid
-from .braid import BraidWord, BraidError, parse_braid_word
+from .braid import BraidWord, BraidError, TooManyStrands, parse_braid_word
 from .bounds import InvertedSpan, ParityError, SpanOffLines, kr_report, mfw_report
 from .cache import ENV_VAR, INVARIANTS, InvariantRecord, ResultCache, key_string
 from .homfly import TooManyTerms, homfly
@@ -265,7 +265,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.func(args)
     except (DisconnectedSurface, NotAKnot, TooManyCrossings, TooManyLoops,
-            TooManyTerms) as exc:
+            TooManyStrands, TooManyTerms) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return PRECONDITION_ERROR
     except (BraidError, ParityError, InvertedSpan, SpanOffLines, OSError) as exc:

@@ -1,3 +1,4 @@
+import itertools
 import operator
 import random
 
@@ -12,15 +13,17 @@ from knotbound.braid import (
     GarsideNormalForm,
     NotDestabilizable,
     QPFactorization,
-    _finishing_set,
     _half_twist,
     _identity,
+    _left_product,
+    _perm_inv,
     _perm_mul,
-    _starting_set,
+    _right_product,
     _tau,
     _transposition,
     bm_minus_word,
     bm_word,
+    bm_zero_word,
     canonical_closure_key,
     closure_components,
     conjugate,
@@ -34,6 +37,7 @@ from knotbound.braid import (
     garside_normal_form,
     mirror,
     parse_braid_word,
+    permutation_braid_word,
     qp_elrifai_k,
     qp_elrifai_l,
     resolution_word,
@@ -160,6 +164,16 @@ def test_garside_relation_insertion(letters, pos_seed, i, far):
     )
 
 
+def _starting_set(p):
+    """Generators sigma_i left-dividing the permutation braid of p."""
+    return frozenset(i + 1 for i in range(len(p) - 1) if p[i] > p[i + 1])
+
+
+def _finishing_set(p):
+    """Generators sigma_i right-dividing the permutation braid of p."""
+    return _starting_set(_perm_inv(p))
+
+
 def _left_weight(factors, n):
     """Slide generators leftward until every adjacent pair is left-weighted."""
     ident = _identity(n)
@@ -234,6 +248,34 @@ def test_garside_matches_fixpoint_oracle(w):
     assert garside_normal_form(w) == _garside_fixpoint(w)
 
 
+@st.composite
+def word_and_permutation(draw):
+    n = draw(st.integers(2, 6))
+    gens = st.sampled_from([s * g for g in range(1, n) for s in (1, -1)])
+    w = BraidWord(n, tuple(draw(st.lists(gens, max_size=20))))
+    return w, tuple(draw(st.permutations(range(n))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(word_and_permutation())
+# Infimum -1: the inverse left product must use tau of the new infimum, -2.
+@example((BraidWord(3, (-1,)), (1, 2, 0)))
+# Infimum 1, with a factor after the half twist.
+@example((BraidWord(4, (1, 2, 1, 3, 2, 1, 1)), (2, 0, 3, 1)))
+def test_simple_products_match_normal_form(case):
+    w, p = case
+    nf = garside_normal_form(w)
+    word = permutation_braid_word(p)
+    inv = tuple(-e for e in reversed(word))
+    for product, letters in (
+        (_left_product(nf, p, False), word + w.letters),
+        (_left_product(nf, p, True), inv + w.letters),
+        (_right_product(nf, p, False), w.letters + word),
+        (_right_product(nf, p, True), w.letters + inv),
+    ):
+        assert product == garside_normal_form(w.with_letters(letters))
+
+
 @given(letters_4)
 def test_garside_inverse_word(letters):
     inv = tuple(-e for e in reversed(letters))
@@ -260,6 +302,73 @@ def test_canonical_key_conjugation_invariance(case):
 
 
 # --- destabilization ---------------------------------------------------------
+
+def _destabilize_by_words(w):
+    """Oracle: the search of ``destabilize`` with every conjugate word
+    normalised from scratch."""
+    n = w.strands
+    if n < 2:
+        raise NotDestabilizable("nothing to destabilize on one strand")
+    top = n - 1
+    conjugators = [BraidWord(n, ())]
+    for p in itertools.permutations(range(n)):
+        word = permutation_braid_word(p)
+        if word:
+            conjugators.append(BraidWord(n, word))
+            conjugators.append(BraidWord(n, tuple(-e for e in reversed(word))))
+    reduced = cyclic_reduce(w).letters
+    seen = set()
+    for s in range(max(1, len(reduced))):
+        rotated = BraidWord(n, reduced[s:] + reduced[:s])
+        for c in conjugators:
+            v = conjugate(rotated, c)
+            nf_word = BraidWord(n, garside_normal_form(v).artin_word())
+            for letters in (cyclic_reduce(v).letters, cyclic_reduce(nf_word).letters):
+                if letters in seen:
+                    continue
+                seen.add(letters)
+                hits = [k for k, e in enumerate(letters) if abs(e) == top]
+                if len(hits) == 1:
+                    k = hits[0]
+                    sign = 1 if letters[k] > 0 else -1
+                    return BraidWord(n - 1, letters[:k] + letters[k + 1:]), sign
+    raise NotDestabilizable(
+        f"no representative with a single sigma_{top}^{{+-1}} found"
+    )
+
+
+def _outcome(search, w):
+    try:
+        return search(w)
+    except NotDestabilizable as exc:
+        return "NotDestabilizable", str(exc)
+
+
+@st.composite
+def destabilization_inputs(draw):
+    """Stabilized-then-conjugated words, and unstabilized words, on 2-4 strands."""
+    n = draw(st.integers(2, 4))
+
+    def words(m, size):
+        gens = [s * g for g in range(1, m) for s in (1, -1)]
+        return st.lists(st.sampled_from(gens), max_size=size) if gens else st.just([])
+
+    if draw(st.booleans()):
+        return BraidWord(n, tuple(draw(words(n, 10))))
+    base = BraidWord(n - 1, tuple(draw(words(n - 1, 8))))
+    w = stabilize(base, draw(st.sampled_from([1, -1])))
+    return conjugate(w, BraidWord(n, tuple(draw(words(n, 3)))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(destabilization_inputs())
+@example(bm_minus_word(1, 1, 1, 1))
+@example(bm_zero_word(1, 1, 1, 1))
+@example(bm_minus_word(2, 0, 1, 2))
+@example(bm_zero_word(0, 2, 2, 1))
+def test_destabilize_matches_word_search(w):
+    assert _outcome(destabilize, w) == _outcome(_destabilize_by_words, w)
+
 
 def test_destabilize_simple():
     w, sign = destabilize(BraidWord(3, (1, 2)))

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotbound import khovanov
-from knotbound.braid import canonical_closure_key, parse_braid_word
+from knotbound.braid import MAX_STRANDS, canonical_closure_key, parse_braid_word
 from knotbound.cache import (
     CACHE_VERSION,
     INVARIANTS,
@@ -235,6 +235,31 @@ def test_pd_edge_count_checked_before_allocation(tmp_path):
     )
     assert proc.returncode == 2, proc.stderr
     assert "300000001 edge ids for 1 crossings and 0 free circles; expected 2" in proc.stderr
+
+
+def test_strand_budget_checked_before_allocation():
+    # A huge --strands must be refused before any per-strand object is built,
+    # here under a 1 GiB address limit; at the budget a query still runs.
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    def cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "knotbound.cli", *argv],
+            capture_output=True, text=True, preexec_fn=limit_memory, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(khovanov.__file__).parents[1])},
+        )
+
+    message = f"the braid has 30000000 strands, over the budget of {MAX_STRANDS}"
+    for argv in (["invariants", "1 2", "--strands", "30000000", "--homfly"],
+                 ["invariants", "1 2", "--strands", "30000000", "--seifert"],
+                 ["invariants", "1 2", "--strands", "30000000", "--khovanov"],
+                 ["bounds", "1 2", "--strands", "30000000"]):
+        proc = cli(*argv)
+        assert proc.returncode == 3, proc.stderr
+        assert message in proc.stderr and "Traceback" not in proc.stderr
+    proc = cli("invariants", "1 2", "--strands", str(MAX_STRANDS), "--khovanov")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_crossing_budget_exit_3(tmp_path, capsys, monkeypatch):
