@@ -266,16 +266,16 @@ def permutation_braid_word(p: Perm) -> tuple[int, ...]:
     """A reduced Artin word (1-based letters) for the positive lift of p."""
     word = []
     q = list(p)
-    n = len(q)
-    done = False
-    while not done:
-        done = True
-        for i in range(n - 1):
-            if q[i] > q[i + 1]:
-                word.append(i + 1)
-                q[i], q[i + 1] = q[i + 1], q[i]
-                done = False
-                break
+    i = 0
+    while i < len(q) - 1:
+        if q[i] > q[i + 1]:
+            word.append(i + 1)
+            q[i], q[i + 1] = q[i + 1], q[i]
+            # q[:i] is still increasing, so the next descent is at i - 1 or
+            # later: the same letters as rescanning from 0.
+            i = max(i - 1, 0)
+        else:
+            i += 1
     return tuple(word)
 
 
@@ -294,14 +294,12 @@ class GarsideNormalForm:
 
     def artin_word(self) -> tuple[int, ...]:
         """An Artin word representing the same element."""
-        n = self.strands
-        delta = permutation_braid_word(_half_twist(n))
         word: list[int] = []
-        if self.infimum >= 0:
-            word.extend(delta * self.infimum)
-        else:
-            inv = tuple(-e for e in reversed(delta))
-            word.extend(inv * (-self.infimum))
+        if self.infimum:
+            delta = permutation_braid_word(_half_twist(self.strands))
+            if self.infimum < 0:
+                delta = tuple(-e for e in reversed(delta))
+            word.extend(delta * abs(self.infimum))
         for f in self.factors:
             word.extend(permutation_braid_word(f))
         return tuple(word)

@@ -97,8 +97,9 @@ def seifert_matrix(w: BraidWord) -> SeifertData:
     present = {abs(e) for e in letters}
     missing = [g for g in range(1, n) if g not in present]
     if missing:
+        more = f" and {len(missing) - 10} more" if len(missing) > 10 else ""
         raise DisconnectedSurface(
-            f"generator(s) {missing} absent; the Seifert surface is disconnected"
+            f"generator(s) {missing[:10]}{more} absent; the Seifert surface is disconnected"
         )
     # Each generator with c bands gives c - 1 loops.
     rows = len(letters) - (n - 1)

@@ -301,6 +301,37 @@ def test_canonical_key_conjugation_invariance(case):
     assert canonical_closure_key(conjugate(w, c)) == key
 
 
+def _permutation_word_by_rescans(p):
+    """Oracle: swap the first descent, then rescan from position 0."""
+    word = []
+    q = list(p)
+    done = False
+    while not done:
+        done = True
+        for i in range(len(q) - 1):
+            if q[i] > q[i + 1]:
+                word.append(i + 1)
+                q[i], q[i + 1] = q[i + 1], q[i]
+                done = False
+                break
+    return tuple(word)
+
+
+def test_permutation_word_matches_rescan_oracle():
+    for n in range(1, 7):
+        for p in itertools.permutations(range(n)):
+            assert permutation_braid_word(p) == _permutation_word_by_rescans(p)
+
+
+def test_artin_word_spells_half_twists():
+    delta = permutation_braid_word(_half_twist(4))
+    inv = tuple(-e for e in reversed(delta))
+    f = (1, 0, 2, 3)
+    assert GarsideNormalForm(4, 0, (f,)).artin_word() == (1,)
+    assert GarsideNormalForm(4, 2, (f,)).artin_word() == delta * 2 + (1,)
+    assert GarsideNormalForm(4, -1, ()).artin_word() == inv
+
+
 # --- destabilization ---------------------------------------------------------
 
 def _destabilize_by_words(w):

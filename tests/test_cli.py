@@ -315,6 +315,26 @@ def test_seifert_loop_budget_exit_3(capsys):
     assert run(capsys, ["invariants", word, "--strands", "2", "--homfly"])[0] == 0
 
 
+def test_disconnected_surface_message_lists_ten_generators(capsys):
+    code, out, err = run(capsys, ["invariants", "1", "--strands", "3", "--seifert"])
+    assert (code, out) == (3, "")
+    assert err == (
+        "precondition failed: generator(s) [2] absent; "
+        "the Seifert surface is disconnected\n"
+    )
+    # Ten absent generators are all listed; the eleventh is counted.
+    code, _, err = run(capsys, ["invariants", "1", "--strands", "12", "--seifert"])
+    assert code == 3
+    assert "generator(s) [2, 3, 4, 5, 6, 7, 8, 9, 10, 11] absent;" in err
+    code, _, err = run(capsys, ["invariants", "1", "--strands", "13", "--seifert"])
+    assert code == 3
+    assert "[2, 3, 4, 5, 6, 7, 8, 9, 10, 11] and 1 more absent;" in err
+    code, out, err = run(capsys, ["invariants", "1 2", "--strands", "1000", "--seifert"])
+    assert (code, out) == (3, "")
+    assert "[3, 4, 5, 6, 7, 8, 9, 10, 11, 12] and 987 more absent;" in err
+    assert len(err.encode()) < 300
+
+
 def test_key_string_leaves_no_garbage():
     key = canonical_closure_key(parse_braid_word("1 -2 1 -2", 3))
     gc.collect()

@@ -1,7 +1,11 @@
+import operator
 import random
 import sys
+from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from knotbound.braid import (
     BraidWord,
@@ -13,7 +17,8 @@ from knotbound.braid import (
     stabilize,
     torus2_word,
 )
-from knotbound.homfly import homfly
+from knotbound.braid import writhe
+from knotbound.homfly import _unpack, homfly
 from knotbound.laurent import LaurentPoly2, a_degree_range, to_aq
 from knotbound.verify import (
     HOMFLY_DOUBLE,
@@ -147,3 +152,95 @@ def test_clearing_exponent_tracks_components():
             assert aq.clearing == 0
         else:
             assert aq.clearing >= 1
+
+
+# --- the Hecke expansion on LaurentPoly2 coefficients, as an oracle ----------
+
+def _oracle_add(vec, p, c):
+    vec[p] = vec[p] + c if p in vec else c
+
+
+def _oracle_times(vec, i, inverse=False):
+    out = {}
+    for p, c in vec.items():
+        _oracle_add(out, p[:i - 1] + (p[i], p[i - 1]) + p[i + 1:], c)
+        if (p[i - 1] < p[i]) == inverse:
+            _oracle_add(out, p, c.scale(0, 1, 1 if inverse else -1))
+    return {p: c for p, c in out.items() if not c.is_zero()}
+
+
+def _homfly_oracle(w):
+    """Oracle: the same expansion and trace with every coefficient a
+    ``LaurentPoly2``, nothing packed."""
+    vec = {tuple(range(w.strands)): LaurentPoly2.one()}
+    for e in w.letters:
+        vec = _oracle_times(vec, abs(e), inverse=e < 0)
+    for m in range(w.strands, 1, -1):
+        closed = {}
+        for p, c in vec.items():
+            j = p.index(m - 1)
+            rest = p[:j] + p[j + 1:]
+            if j == m - 1:
+                part = {rest: c.scale(1, -1) - c.scale(-1, -1)}
+            else:
+                part = {rest: c.scale(-1, 0)}
+                for i in range(m - 2, j, -1):
+                    part = _oracle_times(part, i)
+            for q, cq in part.items():
+                _oracle_add(closed, q, cq)
+        vec = closed
+    return vec[(0,)].scale(writhe(w), 0)
+
+
+@st.composite
+def mixed_sign_words(draw):
+    """Words on 1-6 strands, up to 16 letters: all positive, all inverse or mixed."""
+    n = draw(st.integers(1, 6))
+    if n == 1:
+        return BraidWord(1, ())
+    gen = st.integers(1, n - 1)
+    letter = draw(st.sampled_from([gen, gen.map(operator.neg), gen | gen.map(operator.neg)]))
+    return BraidWord(n, tuple(draw(st.lists(letter, max_size=16))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_sign_words())
+@example(BraidWord(4, ()))
+@example(BraidWord(1, ()))
+@example(BraidWord(5, (-4, -3, -2, -1, -1, -2, -3, -4, -2, -2)))
+@example(BraidWord(6, (1, 2, 3, 4, 5) * 3 + (1,)))
+def test_homfly_matches_laurent_oracle(w):
+    assert homfly(w) == _homfly_oracle(w)
+
+
+def test_all_negative_words_match_oracle():
+    for w in (BraidWord(2, (-1,) * 9), BraidWord(3, (-1, -2) * 6), mirror(elrifai_k_word(2))):
+        assert homfly(w) == _homfly_oracle(w)
+
+
+def test_long_two_strand_word_matches_oracle():
+    # Binomial coefficients of over 200 bits, in digits of 303 bits.
+    w = torus2_word(301)
+    p = homfly(w)
+    assert p == _homfly_oracle(w)
+    assert max(abs(c) for _, c in p.terms).bit_length() > 200
+
+
+def test_one_letter_on_1000_strands():
+    # The closure is a 999-component unlink: delta^998.
+    w = BraidWord(1000, (1,))
+    p = homfly(w)
+    assert p == _homfly_oracle(w)
+    k = 998
+    assert p == LaurentPoly2.from_dict(
+        {(k - 2 * t, -k): (-1) ** t * comb(k, t) for t in range(k + 1)}
+    )
+
+
+@pytest.mark.parametrize("width", [2, 3, 8, 64, 303])
+def test_unpack_signed_digits_at_the_bound(width):
+    top = (1 << (width - 1)) - 1
+    for digits in ([top], [-top], [top, -top, 0, top], [-top, 0, -top, top], [0, 0, 1]):
+        packed = sum(d << (width * k) for k, d in enumerate(digits))
+        assert _unpack(packed, width) == {(0, k): d for k, d in enumerate(digits) if d}
+    assert _unpack(0, width) == {}
