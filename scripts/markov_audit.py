@@ -50,7 +50,7 @@ def main() -> int:
     rng = random.Random(args.seed)
     failures = 0
     for trial in range(args.trials):
-        n = rng.choice([2, 3])
+        n = rng.choice([2, 3, 4])
         w = sample_word(rng, n, args.max_letters)
         base = invariants(w)
         gens = [g for g in range(1, n)] + [-g for g in range(1, n)]

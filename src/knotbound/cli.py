@@ -8,7 +8,7 @@ suite), ``cache`` (inspect or clear the result cache).
 Exit codes: 0 success, 1 failed verification claim, 2 usage or parse
 error, 3 precondition failure (e.g. a disconnected Seifert surface, or an
 input over the strand budget, the Khovanov object budget, the HOMFLYPT
-term budget or the Seifert matrix budget).
+term or packed-width budget, or the Seifert matrix budget).
 JSON output is deterministic: same input, byte-identical output.
 """
 
@@ -25,7 +25,7 @@ from . import braid
 from .braid import BraidWord, BraidError, TooManyStrands, parse_braid_word
 from .bounds import InvertedSpan, ParityError, SpanOffLines, kr_report, mfw_report
 from .cache import ENV_VAR, INVARIANTS, InvariantRecord, ResultCache, key_string
-from .homfly import TooManyTerms, homfly
+from .homfly import TooManyTerms, TooWide, homfly
 from .khovanov import (
     BigradedRanks,
     TooManyCrossings,
@@ -265,7 +265,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.func(args)
     except (DisconnectedSurface, NotAKnot, TooManyCrossings, TooManyLoops,
-            TooManyStrands, TooManyTerms) as exc:
+            TooManyStrands, TooManyTerms, TooWide) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return PRECONDITION_ERROR
     except (BraidError, ParityError, InvertedSpan, SpanOffLines, OSError) as exc:

@@ -13,22 +13,30 @@ terms per letter.  A permutation p is stored as the tuple of strand labels
 by position, so T_i swaps positions i-1 and i, and raises the length exactly
 when p[i-1] < p[i].
 
-During the expansion a coefficient is a polynomial in z alone, with
-exponents from 0 to the number of letters, so it is packed into one Python
-int sum_k c_k 2^{W k} with signed digits c_k and W = letters + 2 (Kronecker
-substitution; D. Harvey, J. Symbolic Comput. 44, 2009).  A letter adds at
-most two old coefficients into a new one, so it at most doubles the largest
-L1 norm: |c_k| <= 2^letters < 2^{W-1}, no digit carries into its
-neighbour, and T_i^{+-1} is a tuple swap plus one or two big-integer
-additions of +-(c << W).
-
 The trace closes one strand at a time: tr_n(x) = delta tr_{n-1}(x) and
 tr_n(x T_{n-1}) = a^{-1} tr_{n-1}(x) for x in H_{n-1}, with
-delta = (a - a^{-1}) z^{-1}.  It runs once, on coefficients decoded into
-{(e_a, e_z): int} dicts.  It is not packed: it brings in a, negative powers
-of z and a factor delta per closed strand, and the only simple digit bound
-for that grows by about n(n-1)/2 bits, half a million at 1000 strands.
-Every state lives inside one ``homfly`` call.
+delta = (a - a^{-1}) z^{-1}.  A trace term is keyed by its permutation and
+the number k of delta closings on its way; each of the other n - 1 - k
+closings gives a^{-1}.  So every coefficient, in the expansion and in the
+trace, is a polynomial in z alone, and only the at most n final ones are
+multiplied by a^{k-n+1} (a - a^{-1})^k z^{-k}, by binomials.
+
+Each coefficient is one Python int sum_e c_e 2^{W e} with signed digits
+(Kronecker substitution; D. Harvey, J. Symbolic Comput. 44, 2009), so one
+step T_p T_i^{+-1} is a tuple swap plus at most one big-integer addition of
++-(c << W).  W = letters + min(letters, n(n-1)/2) + 2 is wide enough.
+Follow one path through the products, taking one of the two terms wherever
+a step splits.  A letter splits a path at most once and changes the length
+l(p) by at most one, so l <= lmax = min(letters, n(n-1)/2) when the trace
+starts.  When strand m closes with label m-1 at position j < m-1, the
+permutation without that label has length l(p) - (m-1-j), and each of the
+m-2-j factors T_i of the closing either adds one to the length, or splits
+into T_{p s_i} (one shorter) and -z T_p (as long); so its splits D and the
+resulting permutation q satisfy D + l(q) <= l(p) - 1.  A delta closing
+takes the largest label off the last position and keeps l.  The trace thus
+splits a path at most lmax times, and every digit is a sum of at most
+2^(letters + lmax) = 2^(W-2) terms +-1: no digit carries into its
+neighbour.  Every state lives inside one ``homfly`` call.
 """
 
 from __future__ import annotations
@@ -41,21 +49,28 @@ from .braid import (
     closure_components,  # noqa: F401  unused here; perfbench/tracing.py patches it
     writhe,
 )
-from .laurent import LaurentPoly2
+from .laurent import LaurentPoly2, _z_power_in_q
 
-__all__ = ["homfly", "clear_cache", "TooManyTerms", "MAX_TERMS"]
+__all__ = ["homfly", "clear_cache", "TooManyTerms", "TooWide", "MAX_TERMS", "MAX_WIDTH"]
 
 # Most basis terms the expansion may keep after a letter.  A word on n
 # strands keeps at most n! terms, so every word on up to 7 strands fits
 # (7! = 5040); one letter at most doubles the terms before the check.
 MAX_TERMS = 10_000
 
+# Most bits per packed digit, W above; a coefficient has fewer than W
+# digits.  At this bound the longest two-strand word, torus2(1597), takes
+# 0.7-0.9 s of CPU on a 2-core x86 VM.  The time grows with the basis
+# terms: a positive word of the same width takes 1.8 s on 3 strands.
+MAX_WIDTH = 1_600
+
 
 class TooManyTerms(BraidError):
     """The Hecke expansion would keep more than ``MAX_TERMS`` basis terms."""
 
-# A trace coefficient: (e_a, e_z) -> integer.
-Poly = dict[tuple[int, int], int]
+
+class TooWide(BraidError):
+    """The packed coefficients would need digits of more than ``MAX_WIDTH`` bits."""
 
 
 def clear_cache() -> None:
@@ -66,42 +81,37 @@ def clear_cache() -> None:
     """
 
 
-def _check(terms: int) -> None:
-    if terms > MAX_TERMS:
+def _step(vec: dict[Perm, int], e: int, width: int) -> dict[Perm, int]:
+    """Packed coefficients ``vec`` right-multiplied by T_i^{+-1}, i = |e|."""
+    i = abs(e)
+    out: dict[Perm, int] = {}
+    get = out.get
+    for p, c in vec.items():
+        x, y = p[i - 1], p[i]
+        q = p[:i - 1] + (y, x) + p[i + 1:]
+        out[q] = get(q, 0) + c
+        # T_p T_i = T_{p s_i} - z T_p when the length goes down, and
+        # T_p T_i^{-1} = T_{p s_i} + z T_p when it goes up.
+        if e < 0:
+            if x < y:
+                out[p] = get(p, 0) + (c << width)
+        elif x > y:
+            out[p] = get(p, 0) - (c << width)
+    # Cancelled terms would be carried through every later step.
+    vec = {p: c for p, c in out.items() if c}
+    if len(vec) > MAX_TERMS:
         raise TooManyTerms(
-            f"the Hecke expansion needs {terms} terms, over the budget of {MAX_TERMS}"
+            f"the Hecke expansion needs {len(vec)} terms, over the budget of {MAX_TERMS}"
         )
-
-
-def _expand(w: BraidWord, width: int) -> dict[Perm, int]:
-    """The word without a^{writhe} in the basis T_p, coefficients packed."""
-    vec = {tuple(range(w.strands)): 1}
-    for e in w.letters:
-        i = abs(e)
-        out: dict[Perm, int] = {}
-        get = out.get
-        for p, c in vec.items():
-            x, y = p[i - 1], p[i]
-            q = p[:i - 1] + (y, x) + p[i + 1:]
-            out[q] = get(q, 0) + c
-            # T_p T_i = T_{p s_i} - z T_p when the length goes down, and
-            # T_p T_i^{-1} = T_{p s_i} + z T_p when it goes up.
-            if e < 0:
-                if x < y:
-                    out[p] = get(p, 0) + (c << width)
-            elif x > y:
-                out[p] = get(p, 0) - (c << width)
-        # Cancelled terms would be carried through every later letter.
-        vec = {p: c for p, c in out.items() if c}
-        _check(len(vec))
     return vec
 
 
-def _unpack(c: int, width: int) -> Poly:
-    """The packed z-polynomial c, with signed digits of ``width`` bits."""
+def _unpack(c: int, width: int) -> dict[tuple[int, int], int]:
+    """The packed z-polynomial c, with signed digits of ``width`` bits, as
+    {(0, e_z): coefficient}."""
     mask = (1 << width) - 1
     half = 1 << (width - 1)
-    out: Poly = {}
+    out = {}
     e = 0
     while c:
         d = c & mask
@@ -116,60 +126,41 @@ def _unpack(c: int, width: int) -> Poly:
     return out
 
 
-def _add(vec: dict[Perm, Poly], p: Perm, c: Poly) -> None:
-    """vec[p] += c, never changing c."""
-    d = vec.get(p)
-    if d is None:
-        vec[p] = dict(c)
-        return
-    for k, v in c.items():
-        v += d.get(k, 0)
-        if v:
-            d[k] = v
-        else:
-            del d[k]
-
-
-def _times(vec: dict[Perm, Poly], i: int) -> dict[Perm, Poly]:
-    """Trace coefficients ``vec`` right-multiplied by T_i."""
-    out: dict[Perm, Poly] = {}
-    for p, c in vec.items():
-        _add(out, p[:i - 1] + (p[i], p[i - 1]) + p[i + 1:], c)
-        if p[i - 1] > p[i]:
-            _add(out, p, {(a, z + 1): -v for (a, z), v in c.items()})
-    out = {p: c for p, c in out.items() if c}
-    _check(len(out))
-    return out
-
-
 def homfly(w: BraidWord) -> LaurentPoly2:
     """HOMFLYPT polynomial of the closure of w, in (a, z)."""
-    width = len(w.letters) + 2
-    vec = {p: _unpack(c, width) for p, c in _expand(w, width).items()}
-    for m in range(w.strands, 1, -1):
+    n, letters = w.strands, w.letters
+    width = len(letters) + min(len(letters), n * (n - 1) // 2) + 2
+    if width > MAX_WIDTH:
+        raise TooWide(
+            f"the Hecke expansion needs digits of {width} bits, over the budget of {MAX_WIDTH}"
+        )
+    vec = {tuple(range(n)): 1}
+    for e in letters:
+        vec = _step(vec, e, width)
+    terms = {(p, 0): c for p, c in vec.items()}
+    for m in range(n, 1, -1):
         # Close the last strand.  With label m-1 at position j, T_p is
         # T_{p'} T_{m-1} ... T_{j+1}, where p' is p without that label; by
-        # cyclicity tr_m(T_p) = a^{-1} tr_{m-1}(T_{p'} T_{m-2} ... T_{j+1}).
-        closed: dict[Perm, Poly] = {}
-        for p, c in vec.items():
+        # cyclicity tr_m(T_p) = a^{-1} tr_{m-1}(T_{p'} T_{m-2} ... T_{j+1}),
+        # or delta tr_{m-1}(T_{p'}) when j = m - 1, which k counts.
+        closed: dict[tuple[Perm, int], int] = {}
+        for (p, k), c in terms.items():
             j = p.index(m - 1)
-            rest = p[:j] + p[j + 1:]
+            part = {p[:j] + p[j + 1:]: c}
             if j == m - 1:
-                d = {(a + 1, z - 1): v for (a, z), v in c.items()}
-                for (a, z), v in c.items():
-                    k = a - 1, z - 1
-                    v = d.get(k, 0) - v
-                    if v:
-                        d[k] = v
-                    else:
-                        del d[k]
-                _add(closed, rest, d)
-                continue
-            part = {rest: {(a - 1, z): v for (a, z), v in c.items()}}
+                k += 1
             for i in range(m - 2, j, -1):
-                part = _times(part, i)
+                part = _step(part, i, width)
             for q, cq in part.items():
-                _add(closed, q, cq)
-        vec = closed
-    wr = writhe(w)
-    return LaurentPoly2.from_dict({(a + wr, z): v for (a, z), v in vec[(0,)].items()})
+                closed[q, k] = closed.get((q, k), 0) + cq
+        terms = {key: c for key, c in closed.items() if c}
+    shift = writhe(w) - (n - 1)
+    out: dict[tuple[int, int], int] = {}
+    for (_, k), c in terms.items():
+        # (a - a^{-1})^k has the binomial coefficients of (q - q^{-1})^k.
+        binomials = _z_power_in_q(k)
+        for (_, z), v in _unpack(c, width).items():
+            for e, b in binomials.items():
+                key = shift + k + e, z - k
+                out[key] = out.get(key, 0) + b * v
+    return LaurentPoly2.from_dict(out)

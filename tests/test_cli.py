@@ -26,6 +26,7 @@ from knotbound.cache import (
     key_string,
 )
 from knotbound.cli import build_parser, main
+from knotbound.homfly import MAX_WIDTH
 
 
 KSTAR_TEXT = "1 2 2 1 1 2 2 1 1 -2 -2 -2"
@@ -304,6 +305,17 @@ def test_homfly_term_budget_exit_3(capsys, monkeypatch):
     assert (code, out) == (3, "")
     monkeypatch.setattr(homfly, "MAX_TERMS", 8)
     assert run(capsys, argv)[0] == 0
+
+
+def test_homfly_width_budget_exit_3(capsys):
+    # torus2(100000) would pack coefficients of about 10^10 bits.
+    code, out, err = run(capsys, ["family", "torus2", "--q", "100000", "--emit", "bounds"])
+    assert (code, out) == (3, "")
+    assert f"needs digits of 100003 bits, over the budget of {MAX_WIDTH}" in err
+    assert "Traceback" not in err
+    # At the budget: W = q + min(q, 1) + 2.
+    q = str(MAX_WIDTH - 3)
+    assert run(capsys, ["family", "torus2", "--q", q, "--emit", "bounds"])[0] == 0
 
 
 def test_seifert_loop_budget_exit_3(capsys):

@@ -1,3 +1,4 @@
+import importlib
 import operator
 import random
 import sys
@@ -18,7 +19,7 @@ from knotbound.braid import (
     torus2_word,
 )
 from knotbound.braid import writhe
-from knotbound.homfly import _unpack, homfly
+from knotbound.homfly import TooWide, _unpack, homfly
 from knotbound.laurent import LaurentPoly2, a_degree_range, to_aq
 from knotbound.verify import (
     HOMFLY_DOUBLE,
@@ -203,12 +204,25 @@ def mixed_sign_words(draw):
     return BraidWord(n, tuple(draw(st.lists(letter, max_size=16))))
 
 
+def full_twist(n, sign=1):
+    """Delta^2 on n strands (sign 1) or its inverse (sign -1)."""
+    half = tuple(j for i in range(1, n) for j in range(i, 0, -1))
+    return BraidWord(n, tuple(sign * e for e in half * 2))
+
+
 @settings(max_examples=300, deadline=None)
 @given(mixed_sign_words())
 @example(BraidWord(4, ()))
 @example(BraidWord(1, ()))
 @example(BraidWord(5, (-4, -3, -2, -1, -1, -2, -3, -4, -2, -2)))
 @example(BraidWord(6, (1, 2, 3, 4, 5) * 3 + (1,)))
+# Long trace chains: terms that reach one permutation after different
+# numbers of delta closings.
+@example(full_twist(5))
+@example(full_twist(5, -1))
+@example(full_twist(6))
+@example(full_twist(6, -1))
+@example(BraidWord(6, (5, 4, 3, 2, 1)))
 def test_homfly_matches_laurent_oracle(w):
     assert homfly(w) == _homfly_oracle(w)
 
@@ -237,6 +251,12 @@ def test_one_letter_on_1000_strands():
     )
 
 
+def test_last_generator_on_1000_strands():
+    # sigma_999 closes to a 999-component unlink after one a^-1 closing.
+    w = BraidWord(1000, (999,))
+    assert homfly(w) == _homfly_oracle(w) == homfly(BraidWord(1000, (1,)))
+
+
 @pytest.mark.parametrize("width", [2, 3, 8, 64, 303])
 def test_unpack_signed_digits_at_the_bound(width):
     top = (1 << (width - 1)) - 1
@@ -244,3 +264,19 @@ def test_unpack_signed_digits_at_the_bound(width):
         packed = sum(d << (width * k) for k, d in enumerate(digits))
         assert _unpack(packed, width) == {(0, k): d for k, d in enumerate(digits) if d}
     assert _unpack(0, width) == {}
+
+
+def test_width_budget_boundary(monkeypatch):
+    # The trefoil needs W = 3 + min(3, 1) + 2 = 6 bits per digit.
+    trefoil = BraidWord(2, (1, 1, 1))
+    module = importlib.import_module("knotbound.homfly")
+    monkeypatch.setattr(module, "MAX_WIDTH", 6)
+    assert homfly(trefoil) == _homfly_oracle(trefoil)
+
+    def refuse(*args):
+        raise AssertionError("the budget must be checked before the expansion")
+
+    monkeypatch.setattr(module, "MAX_WIDTH", 5)
+    monkeypatch.setattr(module, "_step", refuse)
+    with pytest.raises(TooWide, match="needs digits of 6 bits, over the budget of 5"):
+        homfly(trefoil)

@@ -21,7 +21,7 @@ from knotbound.seifert import (
     DisconnectedSurface,
     NotAKnot,
     TooManyLoops,
-    _inertia,
+    _eliminate,
     alexander,
     determinant,
     seifert_matrix,
@@ -183,7 +183,7 @@ def connected_words(draw, max_len=14):
 
 
 def _det(rows):
-    a = [list(r) for r in rows]
+    a = [[Fraction(x) for x in r] for r in rows]
     det = Fraction(1)
     for k in range(len(a)):
         pivot = next((r for r in range(k, len(a)) if a[r][k] != 0), None)
@@ -249,9 +249,9 @@ def _inertia_over_q(rows):
 
 @st.composite
 def symmetric_matrices(draw):
-    """Symmetric matrices of size 0-8 with entries in {0, +-1, 2, -3}; the
+    """Symmetric matrices of size 0-9 with entries in {0, +-1, 2, -3}; the
     diagonal is zero on a drawn set of indices, often all of them."""
-    m = draw(st.integers(0, 8))
+    m = draw(st.integers(0, 9))
     zero_diagonal = draw(st.just(set(range(m))) | st.sets(st.integers(0, max(m - 1, 0))))
     entry = st.sampled_from([0, 1, -1, 2, -3])
     a = [[0] * m for _ in range(m)]
@@ -267,5 +267,11 @@ def symmetric_matrices(draw):
 @example([[0, 1], [1, 0]])
 @example([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
 @example([[0] * 3] * 3)
+@example([[2, 0, 1], [0, 0, 0], [1, 0, -1]])
+@example([[0, 1, 2, -1], [1, 0, 1, 1], [2, 1, 0, -3], [-1, 1, -3, 0]])
+@example([])
 def test_integer_inertia_matches_rational(rows):
-    assert _inertia(rows) == _inertia_over_q(rows)
+    # One Bareiss pass gives both the inertia over Q and the determinant.
+    pos, neg, zero, det = _eliminate(rows)
+    assert (pos, neg, zero) == _inertia_over_q(rows)
+    assert det == _det(rows)
