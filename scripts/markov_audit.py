@@ -2,7 +2,8 @@
 
 Samples random braid words, applies random conjugations and stabilizations,
 and confirms the HOMFLYPT polynomial, signature, determinant and reduced
-Khovanov homology are unchanged.  A link's reduced Khovanov homology
+Khovanov homology are unchanged, and so is the result-cache key
+``canonical_closure_key``.  A link's reduced Khovanov homology
 depends on the marked component, so it is compared as the multiset of
 tables over one marked edge per component.  Any counterexample is printed
 and the script exits nonzero; silence means the engines agree with the
@@ -14,7 +15,7 @@ import random
 import sys
 from dataclasses import replace
 
-from knotbound.braid import BraidWord, conjugate, stabilize
+from knotbound.braid import BraidWord, canonical_closure_key, conjugate, stabilize
 from knotbound.homfly import homfly
 from knotbound.khovanov import braid_to_pd, reduced_khovanov
 from knotbound.seifert import determinant, signature
@@ -53,16 +54,23 @@ def main() -> int:
         n = rng.choice([2, 3, 4])
         w = sample_word(rng, n, args.max_letters)
         base = invariants(w)
+        key = canonical_closure_key(w)
         gens = [g for g in range(1, n)] + [-g for g in range(1, n)]
         moved = conjugate(w, BraidWord(n, (rng.choice(gens),)))
         if {abs(e) for e in moved.letters} >= set(range(1, n)):
             if invariants(moved) != base:
                 failures += 1
                 print(f"conjugation broke invariance: {w.letters} -> {moved.letters}")
+        if canonical_closure_key(moved) != key:
+            failures += 1
+            print(f"conjugation changed the cache key: {w.letters} -> {moved.letters}")
         ws = stabilize(w, rng.choice([1, -1]))
         if invariants(ws) != base:
             failures += 1
             print(f"stabilization broke invariance: {w.letters} -> {ws.letters}")
+        if canonical_closure_key(ws) != key:
+            failures += 1
+            print(f"stabilization changed the cache key: {w.letters} -> {ws.letters}")
     print(f"{args.trials} trials, {failures} failure(s)")
     return 1 if failures else 0
 

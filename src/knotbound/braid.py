@@ -16,8 +16,9 @@ Groups", 1992, ch. 9).  So a word is normalised letter by letter, and
 destabilization normalises each cyclic rotation once and reaches every
 conjugate by a permutation braid, or its inverse, by one left and one right
 simple-element product.
-The result cache keys a closure at the word level, by the least cyclic
-rotation of the cyclically reduced word, so it needs no normal form.
+The result cache keys a closure at the word level, so it needs no normal
+form: the cyclically reduced word, destabilized while its top generator
+occurs exactly once, then its least cyclic rotation.
 """
 
 from __future__ import annotations
@@ -393,18 +394,33 @@ def garside_normal_form(w: BraidWord) -> GarsideNormalForm:
 
 
 def canonical_closure_key(w: BraidWord) -> tuple:
-    """Word-level cache key for the closure of w.
+    """Word-level cache key for the closure of w, stable under Markov moves.
 
-    The strand count and the least cyclic rotation of the cyclically reduced
-    word.  Conjugating w by any word and cyclically reducing gives a rotation
-    of ``cyclic_reduce(w)``, so rotations and conjugates share a key, and
-    equal keys imply conjugate braids, hence equal closures.  Words equal
-    only through braid relations (``1 2 1`` and ``2 1 2``) get distinct keys,
-    which costs cache hits, never correctness.
+    The word is cyclically reduced; then, while it has more than one strand
+    and sigma_{n-1}^{+-1} occurs in it exactly once, that letter is deleted,
+    the strand count drops to n - 1 and the word is cyclically reduced again.
+    The key is the final strand count and the least cyclic rotation of the
+    final word.
+
+    Equal keys imply isotopic oriented closures.  Conjugating w by any word
+    and cyclically reducing gives a rotation of ``cyclic_reduce(w)``, so
+    rotations and conjugates share a key.  A deletion is a Markov
+    destabilization: u sigma_{n-1}^{+-1} v on n strands is conjugate to
+    v u sigma_{n-1}^{+-1}, the stabilization of v u, whose closure is that of
+    v u on n - 1 strands.  The letter counts of a cyclically reduced word are
+    the same in every rotation, so the rule commutes with conjugation, and
+    the key of a stabilization w sigma_n^{+-1} first deletes the new letter,
+    then goes on as the key of w does.  Words equal only through braid
+    relations (``1 2 1`` and ``2 1 2``), or destabilizable only after such
+    relations, get distinct keys, which costs cache hits, never correctness.
     """
-    letters = _cyclic_reduce(w.letters)
+    n, letters = w.strands, _cyclic_reduce(w.letters)
+    while n > 1 and letters.count(n - 1) + letters.count(1 - n) == 1:
+        k = letters.index(n - 1 if n - 1 in letters else 1 - n)
+        letters = _cyclic_reduce(letters[k + 1:] + letters[:k])
+        n -= 1
     rotations = (letters[s:] + letters[:s] for s in range(len(letters)))
-    return (w.strands, min(rotations, default=()))
+    return (n, min(rotations, default=()))
 
 
 # ---------------------------------------------------------------------------

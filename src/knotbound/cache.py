@@ -1,20 +1,33 @@
-"""Advisory JSON-lines result cache keyed by a word-level closure key.
+"""Advisory JSON-lines result cache keyed by a Markov-stable closure key.
 
-One record per closure, append-only with dedupe on store.  A lookup of key
-k decodes only k's lines and the lines with no readable key, and skips the
-lines that carry another key; ``records`` (``cache list``) decodes all.  A
-corrupt line (not UTF-8, or not a record of well-typed fields), or a served
-invariant with malformed terms, is skipped with a warning and recomputed; it
-never aborts a computation, and the next append starts on a line of its own.
-A lookup warns only about lines it could serve: a corrupt line of another
-key is reported by ``cache list`` and by lookups of that key.  A record of
-another or no ``CACHE_VERSION`` is ignored without a warning, and the next
-store appends a current one.  A link's reduced Khovanov table
-depends on which component carries the marked edge, which conjugation moves,
-so it is never stored or served.  The cache assumes a single writer:
-concurrent processes appending to one file are not coordinated.  The location
-is an explicit directory or the KNOTBOUND_CACHE environment variable; with
-neither, the cache is off.
+One record per closure, append-only with dedupe on store.  The key is
+``braid.canonical_closure_key``: the cyclically reduced word, destabilized
+while its top generator occurs exactly once, at its least rotation.  Equal
+keys mean isotopic oriented closures, and every stored invariant is one of
+the oriented link, so a record serves every conjugate and stabilization of
+its key's word.  A record carries the strand count and writhe of its key's
+word, so that all records of one key agree; a query prints its own.  A
+lookup of key k decodes only k's lines and the lines with no readable key,
+and skips the lines that carry another key; ``records`` (``cache list``)
+decodes all.  A corrupt line (not UTF-8, or not a record of well-typed
+fields), or a served invariant with malformed terms, is skipped with a
+warning and recomputed; it never aborts a computation, and the next append
+starts on a line of its own.  A lookup warns only about lines it could
+serve: a corrupt line of another key is reported by ``cache list`` and by
+lookups of that key.  A record of another or no ``CACHE_VERSION`` is
+ignored without a warning, and the next store appends a current one.  A
+link's reduced Khovanov table depends on which component carries the
+marked edge, which conjugation moves, so it is never stored or served.
+The cache assumes a single writer: concurrent processes appending to one
+file are not coordinated.  The location is an explicit directory or the
+KNOTBOUND_CACHE environment variable; with neither, the cache is off.
+
+``CACHE_VERSION`` stayed 3 when keys began to destabilize.  A word that does
+not destabilize keeps its key string.  A word that does gets its
+destabilization's key, whose version-3 records describe the same link and
+were written by a word with that key, so they carry the key word's strand
+count and writhe.  The old key of a destabilizable word has a top generator
+that occurs once, which no new key has, so such records are never served.
 """
 
 from __future__ import annotations
@@ -36,7 +49,7 @@ CACHE_VERSION = 3
 # line of key k holds _KEY_FIELD + json.dumps(k).
 _KEY_FIELD = b'"canonical_key": '
 _KEY_MARK = _KEY_FIELD + b'"'
-# The computed fields of a record, in the order the CLI fills them.
+# The computed fields of a record, in the order the CLI prints them.
 INVARIANTS = ("homfly", "khovanov", "signature", "determinant")
 
 __all__ = [

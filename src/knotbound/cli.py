@@ -74,21 +74,27 @@ def _compute(name: str, w: BraidWord):
 def _invariant_payload(w: BraidWord, wanted: tuple[str, ...], cache: ResultCache) -> dict:
     """Render the ``wanted`` invariants (names from ``INVARIANTS``), each
     computed only if the cached record of the closure lacks it."""
-    # Only the cache needs the closure key (least rotation of the cyclic reduction).
-    key = key_string(braid.canonical_closure_key(w)) if cache.enabled else None
-    record = cache.load(key) if cache.enabled else None
+    # Only the cache needs the closure key.  A record describes the closure,
+    # so it carries the strands and writhe of the key's word, not of w.
+    key = braid.canonical_closure_key(w) if cache.enabled else None
+    key_text = key_string(key) if key else None
+    record = cache.load(key_text) if key else None
     if record is None:
+        rep = BraidWord(*key) if key else w
         record = InvariantRecord.fresh(
-            canonical_key=key, strands=w.strands, writhe=braid.writhe(w),
+            canonical_key=key_text, strands=rep.strands, writhe=braid.writhe(rep),
             components=braid.closure_components(w),
         )
-    missing = {n: _compute(n, w) for n in wanted if getattr(record, n) is None}
+    # Khovanov last: the Seifert budgets refuse a word at once, after which
+    # a Khovanov scan would have been wasted.
+    order = sorted(wanted, key="khovanov".__eq__)
+    missing = {n: _compute(n, w) for n in order if getattr(record, n) is None}
     if missing:
         record = replace(record, **missing)
         if cache.enabled:
             cache.store(record)
-    payload: dict = {"word": str(w), "strands": record.strands,
-                     "writhe": record.writhe, "components": record.components}
+    payload: dict = {"word": str(w), "strands": w.strands,
+                     "writhe": braid.writhe(w), "components": record.components}
     for name in wanted:
         value = getattr(record, name)
         if name == "homfly":

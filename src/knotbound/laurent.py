@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Mapping, Union
 
 __all__ = [
@@ -240,8 +239,13 @@ class AQPolynomial:
 
 
 def _z_power_in_q(k: int) -> dict[int, int]:
-    """(q - q^{-1})^k expanded into q powers, k >= 0."""
-    return {k - 2 * t: (-1) ** t * comb(k, t) for t in range(k + 1)}
+    """(q - q^{-1})^k expanded into q powers, k >= 0.  The binomials come
+    from the exact recurrence C(k, t + 1) = C(k, t) (k - t) / (t + 1)."""
+    row, c = {}, 1
+    for t in range(k + 1):
+        row[k - 2 * t] = -c if t & 1 else c
+        c = c * (k - t) // (t + 1)
+    return row
 
 
 def to_aq(p: LaurentPoly2) -> AQPolynomial:
@@ -250,11 +254,15 @@ def to_aq(p: LaurentPoly2) -> AQPolynomial:
         return AQPolynomial((), 0)
     zmin, _ = p.z_span()
     m = max(0, -zmin)
+    rows: dict[int, dict[int, int]] = {}  # one expansion per distinct z power
     d: dict[tuple[int, int], int] = {}
     for (ea, ez), c in p.terms:
-        for eq, cq in _z_power_in_q(ez + m).items():
-            k = (ea, eq)
-            d[k] = d.get(k, 0) + c * cq
+        k = ez + m
+        if k not in rows:
+            rows[k] = _z_power_in_q(k)
+        for eq, cq in rows[k].items():
+            key = (ea, eq)
+            d[key] = d.get(key, 0) + c * cq
     return AQPolynomial.from_dict(d, m)
 
 

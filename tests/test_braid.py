@@ -301,6 +301,31 @@ def test_canonical_key_conjugation_invariance(case):
     assert canonical_closure_key(conjugate(w, c)) == key
 
 
+@given(word_conjugator_shift(), st.sampled_from([1, -1]), st.sampled_from([1, -1]))
+def test_canonical_key_stabilization_invariance(case, sign, sign2):
+    w, c, _ = case
+    key = canonical_closure_key(w)
+    ws = stabilize(w, sign)
+    assert canonical_closure_key(ws) == key
+    assert canonical_closure_key(stabilize(ws, sign2)) == key
+    # A conjugate of the stabilization, by a word that may use the new generator.
+    c_up = BraidWord(ws.strands, c.letters + (sign2 * w.strands,))
+    assert canonical_closure_key(conjugate(ws, c_up)) == key
+
+
+@pytest.mark.parametrize("text, strands, key", [
+    ("1", 2, (1, ())),
+    ("1 2 3 -2", 4, (3, (1,))),
+    ("2 1 -2", 3, (3, (1,))),  # a conjugate of 1 on 3 strands, not destabilized
+    ("1 2 2", 3, (3, (1, 2, 2))),  # top generator twice
+    ("1 1", 3, (3, (1, 1))),  # top generator absent
+    ("2 -2 1 2", 3, (1, ())),  # reduction first: 1 2 destabilizes twice
+    ("", 3, (3, ())),
+])
+def test_canonical_key_destabilizes(text, strands, key):
+    assert canonical_closure_key(parse_braid_word(text, strands)) == key
+
+
 def _permutation_word_by_rescans(p):
     """Oracle: swap the first descent, then rescan from position 0."""
     word = []

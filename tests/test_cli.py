@@ -327,6 +327,17 @@ def test_seifert_loop_budget_exit_3(capsys):
     assert run(capsys, ["invariants", word, "--strands", "2", "--homfly"])[0] == 0
 
 
+def test_seifert_budget_refuses_before_khovanov(capsys, monkeypatch):
+    def refuse(pd):
+        raise RuntimeError("the Seifert budget must refuse before the Khovanov scan")
+
+    monkeypatch.setattr("knotbound.cli.reduced_khovanov", refuse)
+    code, out, err = run(capsys, ["family", "torus2", "--q", "400", "--emit", "invariants"])
+    assert (code, out) == (3, "")
+    assert err == ("precondition failed: the Seifert matrix needs 399 rows, "
+                   "over the budget of 256\n")
+
+
 def test_disconnected_surface_message_lists_ten_generators(capsys):
     code, out, err = run(capsys, ["invariants", "1", "--strands", "3", "--seifert"])
     assert (code, out) == (3, "")
@@ -564,6 +575,54 @@ def test_cache_never_serves_link_khovanov(tmp_path, capsys):
         assert (code, out) == (0, expected)
     for line in (tmp_path / "invariants.jsonl").read_text().splitlines():
         assert json.loads(line)["khovanov"] is None
+
+
+FIGURE_EIGHT = ("1 -2 1 -2", "3")
+STABILIZED = (FIGURE_EIGHT, ("1 -2 1 -2 3", "4"), ("1 -2 1 -2 -3", "4"))
+
+
+def _refuse_engines(monkeypatch):
+    def refuse(w):
+        raise RuntimeError("a Markov-equivalent query must be served from the cache")
+
+    for name in ("homfly", "signature", "determinant"):
+        monkeypatch.setattr(f"knotbound.cli.{name}", refuse)
+
+
+@pytest.mark.parametrize("first", range(3), ids=["base-first", "plus-first", "minus-first"])
+def test_cache_shared_by_stabilizations(tmp_path, capsys, monkeypatch, first):
+    def argv(word, strands, *extra):
+        return ["invariants", word, "--strands", strands, "--homfly", "--seifert",
+                "--json", *extra]
+
+    direct = [run(capsys, argv(*w))[1] for w in STABILIZED]
+    order = [first] + [i for i in range(3) if i != first]
+    cache_argv = ["--cache-dir", str(tmp_path)]
+    assert run(capsys, argv(*STABILIZED[first], *cache_argv)) == (0, direct[first], "")
+    _refuse_engines(monkeypatch)
+    for i in order[1:]:
+        assert run(capsys, argv(*STABILIZED[i], *cache_argv)) == (0, direct[i], "")
+    assert [json.loads(out)["strands"] for out in direct] == [3, 4, 4]
+    assert [json.loads(out)["writhe"] for out in direct] == [0, 1, -1]
+    code, out, _ = run(capsys, ["cache", "list", "--json", *cache_argv])
+    (record,) = json.loads(out)
+    assert code == 0
+    assert (record["canonical_key"], record["strands"], record["writhe"]) == (
+        "(3,(-2,1,-2,1))", 3, 0)
+
+
+def test_cache_serves_version_3_record_to_stabilization(tmp_path, capsys, monkeypatch):
+    # As a version-3 cache wrote the figure-eight knot before keys destabilized.
+    line = {"canonical_key": "(3,(-2,1,-2,1))", "components": 1,
+            "created": "2026-01-01T00:00:00+00:00", "determinant": 5, "homfly": None,
+            "khovanov": None, "signature": 0, "strands": 3, "version": 3, "writhe": 0}
+    path = tmp_path / "invariants.jsonl"
+    path.write_text(json.dumps(line, sort_keys=True) + "\n")
+    argv = ["invariants", "1 -2 1 -2 -3", "--strands", "4", "--seifert", "--json"]
+    _, direct, _ = run(capsys, argv)
+    _refuse_engines(monkeypatch)
+    assert run(capsys, argv + ["--cache-dir", str(tmp_path)]) == (0, direct, "")
+    assert path.read_text() == json.dumps(line, sort_keys=True) + "\n"
 
 
 ints = st.integers(-10**6, 10**6)

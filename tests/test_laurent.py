@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from knotbound.laurent import (
@@ -74,6 +75,29 @@ def test_to_aq_multiplicative_on_polynomial_part(p, q):
             k = (a1 + a2, q1 + q2)
             product[k] = product.get(k, 0) + c1 * c2
     assert left == AQPolynomial.from_dict(product)
+
+
+def _to_aq_by_comb(p: LaurentPoly2) -> AQPolynomial:
+    """Oracle: expand (q - q^-1)^k with math.comb afresh for every term."""
+    if p.is_zero():
+        return AQPolynomial((), 0)
+    m = max(0, -p.z_span()[0])
+    d = {}
+    for (ea, ez), c in p.terms:
+        k = ez + m
+        for t in range(k + 1):
+            key = (ea, k - 2 * t)
+            d[key] = d.get(key, 0) + c * (-1) ** t * comb(k, t)
+    return AQPolynomial.from_dict(d, m)
+
+
+@given(st.dictionaries(st.tuples(st.integers(-4, 4), st.integers(-40, 60)),
+                       st.integers(-10**6, 10**6), max_size=8)
+       .map(LaurentPoly2.from_dict))
+@example(LaurentPoly2.monomial(0, -30))
+@example(LaurentPoly2.from_dict({(1, -2): 1, (1, 0): 2, (-1, 1597): 1}))
+def test_to_aq_matches_per_term_binomials(p):
+    assert to_aq(p) == _to_aq_by_comb(p)
 
 
 @given(poly2)
