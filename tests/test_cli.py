@@ -577,8 +577,8 @@ def test_cache_never_serves_link_khovanov(tmp_path, capsys):
         assert json.loads(line)["khovanov"] is None
 
 
-FIGURE_EIGHT = ("1 -2 1 -2", "3")
-STABILIZED = (FIGURE_EIGHT, ("1 -2 1 -2 3", "4"), ("1 -2 1 -2 -3", "4"))
+# The figure-eight knot and its two stabilizations.
+STABILIZED = (("1 -2 1 -2", "3"), ("1 -2 1 -2 3", "4"), ("1 -2 1 -2 -3", "4"))
 
 
 def _refuse_engines(monkeypatch):
@@ -596,11 +596,10 @@ def test_cache_shared_by_stabilizations(tmp_path, capsys, monkeypatch, first):
                 "--json", *extra]
 
     direct = [run(capsys, argv(*w))[1] for w in STABILIZED]
-    order = [first] + [i for i in range(3) if i != first]
     cache_argv = ["--cache-dir", str(tmp_path)]
     assert run(capsys, argv(*STABILIZED[first], *cache_argv)) == (0, direct[first], "")
     _refuse_engines(monkeypatch)
-    for i in order[1:]:
+    for i in (i for i in range(3) if i != first):
         assert run(capsys, argv(*STABILIZED[i], *cache_argv)) == (0, direct[i], "")
     assert [json.loads(out)["strands"] for out in direct] == [3, 4, 4]
     assert [json.loads(out)["writhe"] for out in direct] == [0, 1, -1]
