@@ -11,11 +11,21 @@ moves.
 """
 
 import argparse
+import contextlib
+import io
+import json
 import random
 import sys
 from dataclasses import replace
 
-from knotbound.braid import BraidWord, canonical_closure_key, conjugate, stabilize
+from knotbound.braid import (
+    BraidWord,
+    canonical_closure_key,
+    closure_components,
+    conjugate,
+    stabilize,
+)
+from knotbound.cli import main as cli_main
 from knotbound.homfly import homfly
 from knotbound.khovanov import braid_to_pd, reduced_khovanov
 from knotbound.seifert import determinant, signature
@@ -39,6 +49,15 @@ def invariants(w: BraidWord):
         sorted(reduced_khovanov(replace(pd, marked_edge=e)).ranks
                for e in pd.component_edges()),
     )
+
+
+def cli_matches_scan(w: BraidWord) -> bool:
+    """Whether the CLI's Khovanov table of w is that of w's own diagram."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli_main(["invariants", str(w), "--strands", str(w.strands), "--khovanov", "--json"])
+    ranks = json.loads(out.getvalue())["khovanov"]["ranks"]
+    return ranks == [list(t) for t in reduced_khovanov(braid_to_pd(w)).triples()]
 
 
 def main() -> int:
@@ -71,6 +90,10 @@ def main() -> int:
         if canonical_closure_key(ws) != key:
             failures += 1
             print(f"stabilization changed the cache key: {w.letters} -> {ws.letters}")
+        for v in (moved, ws):
+            if closure_components(v) == 1 and not cli_matches_scan(v):
+                failures += 1
+                print(f"the CLI's Khovanov table differs from the scan of {v.letters}")
     print(f"{args.trials} trials, {failures} failure(s)")
     return 1 if failures else 0
 

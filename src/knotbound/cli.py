@@ -61,34 +61,51 @@ def _emit(payload: dict, as_json: bool) -> None:
         print(f"{key}: {value}")
 
 
-def _compute(name: str, w: BraidWord):
-    """One invariant of the closure of ``w``, in its cache-record form."""
+def _compute(name: str, w: BraidWord, knot_key: Optional[tuple]):
+    """One invariant of the closure of ``w``, in its cache-record form.
+
+    ``knot_key`` is the closure key of ``w`` when ``w`` closes to a knot,
+    else None; a knot's Khovanov table is scanned from the key's word.
+    """
     if name == "homfly":
         aq = to_aq(homfly(w))
         return {"terms": aq.triples(), "clearing": aq.clearing}
     if name == "khovanov":
-        return reduced_khovanov(braid_to_pd(w)).triples()
+        scan = BraidWord(*knot_key) if knot_key else w
+        return reduced_khovanov(braid_to_pd(scan)).triples()
     return signature(w) if name == "signature" else determinant(w)
 
 
 def _invariant_payload(w: BraidWord, wanted: tuple[str, ...], cache: ResultCache) -> dict:
     """Render the ``wanted`` invariants (names from ``INVARIANTS``), each
-    computed only if the cached record of the closure lacks it."""
-    # Only the cache needs the closure key.  A record describes the closure,
-    # so it carries the strands and writhe of the key's word, not of w.
-    key = braid.canonical_closure_key(w) if cache.enabled else None
+    computed only if the cached record of the closure lacks it.
+
+    A knot's reduced Khovanov table depends only on the knot, so it is
+    scanned from the diagram of the key word ``BraidWord(*key)``.  That word
+    is cyclically reduced and destabilized, and as the least rotation it
+    starts with a longest run of its most negative letter, which keeps the
+    scan's complexes small.  A link's table depends on which component
+    carries the marked edge, so a link is scanned from its own diagram.
+    The other invariants are computed from ``w``.
+    """
+    # The cache needs the closure key, and so does a knot's Khovanov scan.
+    # A record describes the closure, so it carries the strands and writhe
+    # of the key's word, not of w.
+    needs_key = cache.enabled or "khovanov" in wanted
+    key = braid.canonical_closure_key(w) if needs_key else None
     key_text = key_string(key) if key else None
-    record = cache.load(key_text) if key else None
+    record = cache.load(key_text) if cache.enabled else None
     if record is None:
         rep = BraidWord(*key) if key else w
         record = InvariantRecord.fresh(
             canonical_key=key_text, strands=rep.strands, writhe=braid.writhe(rep),
             components=braid.closure_components(w),
         )
+    knot_key = key if record.components == 1 else None
     # Khovanov last: the Seifert budgets refuse a word at once, after which
     # a Khovanov scan would have been wasted.
     order = sorted(wanted, key="khovanov".__eq__)
-    missing = {n: _compute(n, w) for n in order if getattr(record, n) is None}
+    missing = {n: _compute(n, w, knot_key) for n in order if getattr(record, n) is None}
     if missing:
         record = replace(record, **missing)
         if cache.enabled:

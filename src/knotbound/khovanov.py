@@ -699,6 +699,8 @@ def pd_from_text(text: str) -> PlanarDiagram:
             if parts[0] == "U":
                 free_edges.append(e)
                 max_edge = max(max_edge, e)
+            elif marked is not None:
+                raise BraidError(f"a second M line: {line!r}")
             else:
                 marked = e
         else:

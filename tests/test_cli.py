@@ -1,5 +1,7 @@
+import contextlib
 import gc
 import importlib
+import io
 import json
 import os
 import re
@@ -12,11 +14,19 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from knotbound import khovanov
-from knotbound.braid import MAX_STRANDS, canonical_closure_key, parse_braid_word
+from knotbound import cli, khovanov
+from knotbound.braid import (
+    MAX_STRANDS,
+    BraidWord,
+    canonical_closure_key,
+    closure_components,
+    conjugate,
+    parse_braid_word,
+    stabilize,
+)
 from knotbound.cache import (
     CACHE_VERSION,
     INVARIANTS,
@@ -204,9 +214,10 @@ def test_emit_and_import_pd(tmp_path, capsys):
         # Checked before per-edge lists, so no message lists 100k edge ids.
         ("X 0 1 1 99999 +\nM 0\n",
          "100000 edge ids for 1 crossings and 0 free circles; expected 2"),
+        ("M 0\nM 1\nU 0\nU 1\n", "a second M line: 'M 1'"),
     ],
     ids=["non-integer-port", "bare-U", "bare-M", "negative-edge", "misoriented",
-         "sparse-edge-ids"],
+         "sparse-edge-ids", "second-M"],
 )
 def test_malformed_pd_file_exit_2(tmp_path, capsys, text, message):
     pd_file = tmp_path / "bad.pd"
@@ -273,7 +284,10 @@ def test_crossing_budget_exit_3(tmp_path, capsys, monkeypatch):
         built.append(len(step.cx.objects))
 
     monkeypatch.setattr(khovanov._Step, "build", recording)
-    pd = khovanov.braid_to_pd(parse_braid_word(KSTAR_TEXT, 3))
+    # The CLI scans a knot from its key word, so the budget is set by the
+    # diagram of that word.
+    key = canonical_closure_key(parse_braid_word(KSTAR_TEXT, 3))
+    pd = khovanov.braid_to_pd(BraidWord(*key))
     expected = khovanov.reduced_khovanov(pd)
     peak = max(built)
     # A diagram at the budget proceeds.
@@ -291,6 +305,50 @@ def test_crossing_budget_exit_3(tmp_path, capsys, monkeypatch):
         assert f"objects, over the budget of {peak - 1}" in err
         assert built and max(built) < peak
         assert len(built) < len(pd.crossings)
+
+
+@st.composite
+def knot_words(draw):
+    """Knot words on 2..5 strands, conjugated, then perhaps stabilized."""
+    n = draw(st.integers(2, 5))
+    gens = [g for g in range(1, n)] + [-g for g in range(1, n)]
+    w = BraidWord(n, tuple(draw(st.lists(st.sampled_from(gens), min_size=n - 1,
+                                         max_size=8))))
+    assume(closure_components(w) == 1)
+    w = conjugate(w, BraidWord(n, tuple(draw(st.lists(st.sampled_from(gens), max_size=2)))))
+    sign = draw(st.sampled_from([0, 1, -1]))
+    return stabilize(w, sign) if sign else w
+
+
+@settings(max_examples=100, deadline=None)
+@given(knot_words())
+def test_knot_khovanov_matches_query_word_scan(w):
+    # The CLI scans a knot from its key word; the table must be the query
+    # word's own.
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["invariants", str(w), "--strands", str(w.strands),
+                     "--khovanov", "--json"])
+    assert code == 0
+    expected = khovanov.reduced_khovanov(khovanov.braid_to_pd(w)).triples()
+    assert json.loads(out.getvalue())["khovanov"]["ranks"] == [list(t) for t in expected]
+
+
+def test_knot_scanned_from_key_word_link_from_its_own(tmp_path, capsys, monkeypatch):
+    scanned = []
+    to_pd = cli.braid_to_pd
+    monkeypatch.setattr(cli, "braid_to_pd", lambda w: scanned.append(w) or to_pd(w))
+    knot = parse_braid_word("-1 2 -1 -1 -1 -2 -2 1", 3)
+    # A Hopf link beside a circle; cyclic reduction shortens its key word.
+    link = parse_braid_word("2 1 1 -2", 3)
+    assert closure_components(knot) == 1 and closure_components(link) == 3
+    assert canonical_closure_key(link) == (3, (1, 1))
+    for cache in ([], ["--cache-dir", str(tmp_path)]):
+        for w, expected in ((knot, BraidWord(2, (-1, -1, -1))), (link, link)):
+            scanned.clear()
+            code, _, _ = run(capsys, ["invariants", str(w), "--strands", "3",
+                                      "--khovanov", *cache])
+            assert code == 0 and scanned == [expected]
 
 
 def test_homfly_term_budget_exit_3(capsys, monkeypatch):

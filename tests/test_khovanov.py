@@ -187,6 +187,14 @@ def test_markov_invariance_over_components(w, data):
     assert component_tables(stabilize(w, sign)) == tables
 
 
+@settings(max_examples=100, deadline=None)
+@given(braid_words())
+@example(elrifai_k_word(1))
+def test_mirror_duality(w):
+    # Mirroring the diagram negates both gradings of the reduced table.
+    assert reduced_khovanov(braid_to_pd(mirror(w))) == reduced_khovanov(braid_to_pd(w)).mirror()
+
+
 def test_split_components_handled():
     # a word missing a generator closes to a split link with a free circle
     w = BraidWord(3, (1, 1))
