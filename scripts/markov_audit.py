@@ -5,7 +5,10 @@ and confirms the HOMFLYPT polynomial, signature, determinant and reduced
 Khovanov homology are unchanged, and so is the result-cache key
 ``canonical_closure_key``.  A link's reduced Khovanov homology
 depends on the marked component, so it is compared as the multiset of
-tables over one marked edge per component.  Any counterexample is printed
+tables over one marked edge per component.  The CLI must also answer
+``invariants --homfly --seifert`` on each word with the same stdout and exit
+code through a result cache shared by the whole run as with no cache, a
+conjugate that misses a generator included.  Any counterexample is printed
 and the script exits nonzero; silence means the engines agree with the
 moves.
 """
@@ -16,6 +19,7 @@ import io
 import json
 import random
 import sys
+import tempfile
 from dataclasses import replace
 
 from knotbound.braid import (
@@ -51,13 +55,25 @@ def invariants(w: BraidWord):
     )
 
 
+def cli_answer(w: BraidWord, *flags: str) -> tuple[int, str]:
+    """Exit code and stdout of ``invariants`` on w with ``flags``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli_main(["invariants", str(w), "--strands", str(w.strands), "--json", *flags])
+    return code, out.getvalue()
+
+
 def cli_matches_scan(w: BraidWord) -> bool:
     """Whether the CLI's Khovanov table of w is that of w's own diagram."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        cli_main(["invariants", str(w), "--strands", str(w.strands), "--khovanov", "--json"])
-    ranks = json.loads(out.getvalue())["khovanov"]["ranks"]
+    ranks = json.loads(cli_answer(w, "--khovanov")[1])["khovanov"]["ranks"]
     return ranks == [list(t) for t in reduced_khovanov(braid_to_pd(w)).triples()]
+
+
+def cache_keeps_answer(w: BraidWord, cache_dir: str) -> bool:
+    """Whether w's HOMFLYPT and Seifert answer is the same with the cache
+    in ``cache_dir`` as with none."""
+    flags = ("--homfly", "--seifert")
+    return cli_answer(w, *flags, "--cache-dir", cache_dir) == cli_answer(w, *flags)
 
 
 def main() -> int:
@@ -69,31 +85,36 @@ def main() -> int:
 
     rng = random.Random(args.seed)
     failures = 0
-    for trial in range(args.trials):
-        n = rng.choice([2, 3, 4])
-        w = sample_word(rng, n, args.max_letters)
-        base = invariants(w)
-        key = canonical_closure_key(w)
-        gens = [g for g in range(1, n)] + [-g for g in range(1, n)]
-        moved = conjugate(w, BraidWord(n, (rng.choice(gens),)))
-        if {abs(e) for e in moved.letters} >= set(range(1, n)):
-            if invariants(moved) != base:
+    with tempfile.TemporaryDirectory() as cache_dir:
+        for trial in range(args.trials):
+            n = rng.choice([2, 3, 4])
+            w = sample_word(rng, n, args.max_letters)
+            base = invariants(w)
+            key = canonical_closure_key(w)
+            gens = [g for g in range(1, n)] + [-g for g in range(1, n)]
+            moved = conjugate(w, BraidWord(n, (rng.choice(gens),)))
+            if {abs(e) for e in moved.letters} >= set(range(1, n)):
+                if invariants(moved) != base:
+                    failures += 1
+                    print(f"conjugation broke invariance: {w.letters} -> {moved.letters}")
+            if canonical_closure_key(moved) != key:
                 failures += 1
-                print(f"conjugation broke invariance: {w.letters} -> {moved.letters}")
-        if canonical_closure_key(moved) != key:
-            failures += 1
-            print(f"conjugation changed the cache key: {w.letters} -> {moved.letters}")
-        ws = stabilize(w, rng.choice([1, -1]))
-        if invariants(ws) != base:
-            failures += 1
-            print(f"stabilization broke invariance: {w.letters} -> {ws.letters}")
-        if canonical_closure_key(ws) != key:
-            failures += 1
-            print(f"stabilization changed the cache key: {w.letters} -> {ws.letters}")
-        for v in (moved, ws):
-            if closure_components(v) == 1 and not cli_matches_scan(v):
+                print(f"conjugation changed the cache key: {w.letters} -> {moved.letters}")
+            ws = stabilize(w, rng.choice([1, -1]))
+            if invariants(ws) != base:
                 failures += 1
-                print(f"the CLI's Khovanov table differs from the scan of {v.letters}")
+                print(f"stabilization broke invariance: {w.letters} -> {ws.letters}")
+            if canonical_closure_key(ws) != key:
+                failures += 1
+                print(f"stabilization changed the cache key: {w.letters} -> {ws.letters}")
+            for v in (moved, ws):
+                if closure_components(v) == 1 and not cli_matches_scan(v):
+                    failures += 1
+                    print(f"the CLI's Khovanov table differs from the scan of {v.letters}")
+            for v in (w, moved, ws):
+                if not cache_keeps_answer(v, cache_dir):
+                    failures += 1
+                    print(f"the result cache changed the CLI's answer for {v.letters}")
     print(f"{args.trials} trials, {failures} failure(s)")
     return 1 if failures else 0
 

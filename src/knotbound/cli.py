@@ -25,7 +25,7 @@ from . import braid
 from .braid import BraidWord, BraidError, TooManyStrands, parse_braid_word
 from .bounds import InvertedSpan, ParityError, SpanOffLines, kr_report, mfw_report
 from .cache import ENV_VAR, INVARIANTS, InvariantRecord, ResultCache, key_string
-from .homfly import TooManyTerms, TooWide, homfly
+from .homfly import TooManyTerms, TooWide, homfly, packed_width
 from .khovanov import (
     BigradedRanks,
     TooManyCrossings,
@@ -36,7 +36,14 @@ from .khovanov import (
     reduced_khovanov,
 )
 from .laurent import AQPolynomial, to_aq
-from .seifert import DisconnectedSurface, NotAKnot, TooManyLoops, determinant, signature
+from .seifert import (
+    DisconnectedSurface,
+    NotAKnot,
+    TooManyLoops,
+    check_surface,
+    determinant,
+    signature,
+)
 from .verify import run_claims
 
 USAGE_ERROR = 2
@@ -87,7 +94,16 @@ def _invariant_payload(w: BraidWord, wanted: tuple[str, ...], cache: ResultCache
     scan's complexes small.  A link's table depends on which component
     carries the marked edge, so a link is scanned from its own diagram.
     The other invariants are computed from ``w``.
+
+    A served record never changes the output or the exit code: the engines'
+    checks that read the word alone run on ``w`` before the lookup, so a
+    word the engine refuses is refused even when a Markov-equivalent word
+    has stored its values.
     """
+    if "homfly" in wanted:
+        packed_width(w)
+    if "signature" in wanted or "determinant" in wanted:
+        check_surface(w)
     # The cache needs the closure key, and so does a knot's Khovanov scan.
     # A record describes the closure, so it carries the strands and writhe
     # of the key's word, not of w.
@@ -102,10 +118,7 @@ def _invariant_payload(w: BraidWord, wanted: tuple[str, ...], cache: ResultCache
             components=braid.closure_components(w),
         )
     knot_key = key if record.components == 1 else None
-    # Khovanov last: the Seifert budgets refuse a word at once, after which
-    # a Khovanov scan would have been wasted.
-    order = sorted(wanted, key="khovanov".__eq__)
-    missing = {n: _compute(n, w, knot_key) for n in order if getattr(record, n) is None}
+    missing = {n: _compute(n, w, knot_key) for n in wanted if getattr(record, n) is None}
     if missing:
         record = replace(record, **missing)
         if cache.enabled:

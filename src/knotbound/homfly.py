@@ -51,7 +51,10 @@ from .braid import (
 )
 from .laurent import LaurentPoly2, _z_power_in_q
 
-__all__ = ["homfly", "clear_cache", "TooManyTerms", "TooWide", "MAX_TERMS", "MAX_WIDTH"]
+__all__ = [
+    "homfly", "packed_width", "clear_cache", "TooManyTerms", "TooWide", "MAX_TERMS",
+    "MAX_WIDTH",
+]
 
 # Most basis terms the expansion may keep after a letter.  A word on n
 # strands keeps at most n! terms, so every word on up to 7 strands fits
@@ -126,14 +129,23 @@ def _unpack(c: int, width: int) -> dict[tuple[int, int], int]:
     return out
 
 
-def homfly(w: BraidWord) -> LaurentPoly2:
-    """HOMFLYPT polynomial of the closure of w, in (a, z)."""
-    n, letters = w.strands, w.letters
-    width = len(letters) + min(len(letters), n * (n - 1) // 2) + 2
+def packed_width(w: BraidWord) -> int:
+    """The digit width W of w's packed coefficients; raises ``TooWide`` over
+    ``MAX_WIDTH``.  It reads the word alone, so a caller can check a query
+    before it serves a result computed from another word."""
+    n, length = w.strands, len(w.letters)
+    width = length + min(length, n * (n - 1) // 2) + 2
     if width > MAX_WIDTH:
         raise TooWide(
             f"the Hecke expansion needs digits of {width} bits, over the budget of {MAX_WIDTH}"
         )
+    return width
+
+
+def homfly(w: BraidWord) -> LaurentPoly2:
+    """HOMFLYPT polynomial of the closure of w, in (a, z)."""
+    n, letters = w.strands, w.letters
+    width = packed_width(w)
     vec = {tuple(range(n)): 1}
     for e in letters:
         vec = _step(vec, e, width)

@@ -6,14 +6,15 @@ The homology is computed by Bar-Natan's scanning algorithm (D. Bar-Natan,
 cobordisms with h = t = 0; each closed circle is delooped as it appears,
 and every isomorphism is cancelled after each crossing, so the complex
 stays near the size of the homology rather than the 2^c vertices of the
-cube of resolutions.  Coefficients stay integers.  The reduced theory cuts
-the marked edge open into an arc whose dot acts as zero.  Gradings are
-normalised so the unknot has rank one at (0, 0) and the graded Euler
-characteristic reproduces the HOMFLYPT specialisation P(q^2, q).
+cube of resolutions.  Gradings are normalised so the unknot has rank one at
+(0, 0) and the graded Euler characteristic reproduces the HOMFLYPT
+specialisation P(q^2, q).
 
-The ranks of what is left are computed degree by degree by exact column
-reduction, the standard algorithm of persistent homology; entries are
-integers, and a non-unit pivot brings in rationals.
+The reduced theory cuts the marked edge open into an arc whose dot acts as
+zero.  After the last crossing the dotted entries are dropped and the
+cancellation, which inverts every nonzero scalar (in Fractions unless it is
++-1), runs once more; no entry is left, so each rank is the number of
+objects in its grading.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional
 
-from .braid import BraidWord, BraidError
+from .braid import BraidWord, BraidError, EngineInconsistency
 from .laurent import LaurentPoly1
 
 __all__ = [
@@ -335,7 +336,7 @@ class _Surface:
             if weight > 1 or not (weight or curves):
                 return
             if weight:
-                terms = {m | curves: c << genus for m, c in terms.items()}
+                terms = {m | curves: c * (1 << genus) for m, c in terms.items()}
                 continue
             undotted = []
             rest = curves
@@ -417,8 +418,9 @@ class _Complex:
         _Step(self, ports, internal, boundary, smooth).build()
 
     def cancel(self) -> None:
-        """Gaussian elimination of every isomorphism +-1 between two objects
-        with the same matching and shift, until none is left."""
+        """Gaussian elimination of every isomorphism, a nonzero undotted
+        scalar c between two objects with the same matching and shift, until
+        none is left; c^-1 is an int when c = +-1, else a Fraction."""
         objects, out, into = self.objects, self.out, self.into
         composites: dict = {}
         queue = list(objects)
@@ -428,13 +430,13 @@ class _Complex:
                 continue
             m, shift, _ = objects[o1]
             for o2, phi in out[o1].items():
-                if (objects[o2][:2] == (m, shift) and len(phi) == 1
-                        and phi.get(0) in (1, -1)):
+                if objects[o2][:2] == (m, shift) and len(phi) == 1 and 0 in phi:
                     break
             else:
                 continue
             # d(x -> y) -= gamma phi^-1 delta, for delta: x -> o2, gamma: o1 -> y.
-            sign = phi[0]
+            scalar = phi[0]
+            inverse = scalar if scalar in (1, -1) else 1 / Fraction(scalar)
             targets = [(y, g) for y, g in out[o1].items() if y != o2]
             for x in into[o2]:
                 if x == o1:
@@ -444,7 +446,7 @@ class _Complex:
                     f = row.get(y, {})
                     for mask, c in _compose(composites, self.top, delta, gamma,
                                             objects[x][0], m, objects[y][0]).items():
-                        f[mask] = f.get(mask, 0) - sign * c
+                        f[mask] = f.get(mask, 0) - inverse * c
                     f = {mask: c for mask, c in f.items() if c}
                     if f:
                         row[y] = f
@@ -562,6 +564,10 @@ class _Step:
 def _rank_sparse(columns: dict[int, dict[int, int]]) -> int:
     """Rank over Q of a sparse integer matrix given column-wise.
 
+    ``reduced_khovanov`` leaves no entry to rank; the cube oracle in
+    ``tests/khovanov_cube.py`` ranks with it, and ``perfbench/tracing.py``
+    looks it up by name.
+
     Column reduction: a copy of each column is cleared against the stored
     pivot column that owns its largest row, until it is zero or owns a new
     largest row and becomes a pivot.  A unit pivot gives an integer factor,
@@ -620,26 +626,19 @@ def reduced_khovanov(pd: PlanarDiagram) -> BigradedRanks:
         cx.add_crossing(ends[k])
         cx.cancel()
 
-    n_plus, n_minus = pd.signs()
-    grading = {o: (s + n_plus - 2 * n_minus, h - n_minus)
-               for o, (_, s, h) in cx.objects.items()}
-    dims: dict[tuple[int, int], int] = {}
-    position: dict[int, int] = {}  # id -> index in its block
-    for o, key in grading.items():
-        position[o] = dims.get(key, 0)
-        dims[key] = position[o] + 1
-    blocks: dict[tuple[int, int], dict[int, dict[int, int]]] = {}
+    # Every object is now the marked arc, on which a dot acts as 0.
     for o, targets in cx.out.items():
-        # Only undotted entries survive: a dot on the marked arc acts as 0.
-        col = {position[t]: f[0] for t, f in targets.items() if f.get(0)}
-        if col:
-            blocks.setdefault(grading[o], {})[position[o]] = col
-    rank_out = {key: _rank_sparse(cols) for key, cols in blocks.items()}
+        for t in [t for t, f in targets.items() if 0 not in f]:
+            del targets[t]
+            cx.into[t].discard(o)
+    cx.cancel()
+    if any(cx.out.values()):
+        raise EngineInconsistency("an entry survived the last cancellation")
+    n_plus, n_minus = pd.signs()
     betti: dict[tuple[int, int], int] = {}
-    for (I, j), dim in dims.items():
-        b = dim - rank_out.get((I, j), 0) - rank_out.get((I, j - 1), 0)
-        if b:
-            betti[I, j] = b
+    for _, s, h in cx.objects.values():
+        key = s + n_plus - 2 * n_minus, h - n_minus
+        betti[key] = betti.get(key, 0) + 1
     for e in pd.free_edges:
         if e != marked:
             grown: dict[tuple[int, int], int] = {}

@@ -46,6 +46,7 @@ __all__ = [
     "NotAKnot",
     "TooManyLoops",
     "MAX_LOOPS",
+    "check_surface",
     "seifert_matrix",
     "signature",
     "determinant",
@@ -73,12 +74,10 @@ class TooManyLoops(BraidError):
 
 @dataclass(frozen=True)
 class SeifertData:
-    """Seifert matrix with the band-pair loop basis that produced it."""
+    """Seifert matrix in the band-pair loop basis."""
 
     strands: int
     matrix: tuple[tuple[int, ...], ...]
-    # one record per basis loop: (generator, first position, second position)
-    basis: tuple[tuple[int, int, int], ...]
 
     @property
     def size(self) -> int:
@@ -90,10 +89,12 @@ class SeifertData:
         return [[v[i][j] + v[j][i] for j in range(m)] for i in range(m)]
 
 
-def seifert_matrix(w: BraidWord) -> SeifertData:
-    """Seifert matrix of the disk-and-band surface of the closure of w."""
-    n = w.strands
-    letters = w.letters
+def check_surface(w: BraidWord) -> None:
+    """Refuse a word whose surface ``seifert_matrix`` cannot build: raise
+    ``DisconnectedSurface`` if a generator is absent and ``TooManyLoops``
+    over ``MAX_LOOPS`` rows.  It reads the word alone, so a caller can
+    check a query before it serves a result computed from another word."""
+    n, letters = w.strands, w.letters
     present = {abs(e) for e in letters}
     missing = [g for g in range(1, n) if g not in present]
     if missing:
@@ -108,6 +109,11 @@ def seifert_matrix(w: BraidWord) -> SeifertData:
             f"the Seifert matrix needs {rows} rows, over the budget of {MAX_LOOPS}"
         )
 
+
+def seifert_matrix(w: BraidWord) -> SeifertData:
+    """Seifert matrix of the disk-and-band surface of the closure of w."""
+    check_surface(w)
+    n, letters = w.strands, w.letters
     # Loops: consecutive occurrences of each generator, left to right.
     loops: list[tuple[int, int, int, int, int]] = []  # (gen, p, q, sign_p, sign_q)
     for g in range(1, n):
@@ -138,8 +144,7 @@ def seifert_matrix(w: BraidWord) -> SeifertData:
                     v[lo][hi] = -1
                 elif a < p < b < q:
                     v[lo][hi] = 1
-    basis = tuple((g, p, q) for g, p, q, _, _ in loops)
-    return SeifertData(n, tuple(tuple(row) for row in v), basis)
+    return SeifertData(n, tuple(tuple(row) for row in v))
 
 
 def _eliminate(rows: list[list[int]]) -> tuple[int, int, int, int]:

@@ -4,6 +4,7 @@ import importlib
 import io
 import json
 import os
+import random
 import re
 import resource
 import subprocess
@@ -37,6 +38,7 @@ from knotbound.cache import (
 )
 from knotbound.cli import build_parser, main
 from knotbound.homfly import MAX_WIDTH
+from conftest import random_word
 
 
 KSTAR_TEXT = "1 2 2 1 1 2 2 1 1 -2 -2 -2"
@@ -394,6 +396,56 @@ def test_seifert_budget_refuses_before_khovanov(capsys, monkeypatch):
     assert (code, out) == (3, "")
     assert err == ("precondition failed: the Seifert matrix needs 399 rows, "
                    "over the budget of 256\n")
+
+
+# Each pair shares a closure key; the second word is refused uncached.  The
+# loop budget's query has 301 letters on 3 strands, so 299 rows.
+@pytest.mark.parametrize("stored, query, strands", [
+    ("1 2 3 -2", "1 3", "4"),
+    ("2 1 -2", "1", "3"),
+    (" ".join(["1"] * 101 + ["2", "-2"]), " ".join(["1 2 -2"] * 100 + ["1"]), "3"),
+], ids=["absent-generator", "absent-generator-conjugate", "loop-budget"])
+def test_cache_never_lifts_a_seifert_refusal(tmp_path, capsys, stored, query, strands):
+    def argv(word, *extra):
+        return ["invariants", word, "--strands", strands, "--seifert", *extra]
+
+    key = canonical_closure_key(parse_braid_word(query, int(strands)))
+    assert canonical_closure_key(parse_braid_word(stored, int(strands))) == key
+    code, out, err = run(capsys, argv(query))
+    assert (code, out) == (3, "")
+    cache = ["--cache-dir", str(tmp_path)]
+    assert run(capsys, argv(stored, *cache))[0] == 0
+    assert run(capsys, argv(query, *cache)) == (3, "", err)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_cached_and_uncached_queries_agree(seed):
+    # A word (which may miss a generator), its conjugates and its
+    # stabilizations, each with some of --homfly and --seifert, asked in a
+    # random order through one shared cache and with none.
+    rng = random.Random(seed)
+    n = rng.randint(2, 4)
+    w = random_word(rng, n, 6)
+    gens = [g for g in range(1, n)] + [-g for g in range(1, n)]
+    words = [w, stabilize(w, 1), stabilize(w, -1)]
+    words += [conjugate(v, BraidWord(v.strands, (rng.choice(gens),))) for v in words]
+    flags = (["--homfly"], ["--seifert"], ["--homfly", "--seifert"])
+    queries = [["invariants", str(v), "--strands", str(v.strands), "--json",
+                *rng.choice(flags)] for v in words]
+    rng.shuffle(queries)
+
+    def answers(extra):
+        results = []
+        for argv in queries:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv + extra)
+            results.append((code, out.getvalue()))
+        return results
+
+    with tempfile.TemporaryDirectory() as cache_dir:
+        assert answers(["--cache-dir", cache_dir]) == answers([])
 
 
 def test_disconnected_surface_message_lists_ten_generators(capsys):
