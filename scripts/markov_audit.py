@@ -6,11 +6,11 @@ Khovanov homology are unchanged, and so is the result-cache key
 ``canonical_closure_key``.  A link's reduced Khovanov homology
 depends on the marked component, so it is compared as the multiset of
 tables over one marked edge per component.  The CLI must also answer
-``invariants --homfly --seifert`` on each word with the same stdout and exit
-code through a result cache shared by the whole run as with no cache, a
-conjugate that misses a generator included.  Any counterexample is printed
-and the script exits nonzero; silence means the engines agree with the
-moves.
+``invariants --homfly --seifert`` and ``invariants --khovanov`` on each word
+with the same stdout and exit code through a result cache shared by the
+whole run as with no cache, a conjugate that misses a generator included.
+Any counterexample is printed and the script exits nonzero; silence means
+the engines agree with the moves.
 """
 
 import argparse
@@ -70,10 +70,10 @@ def cli_matches_scan(w: BraidWord) -> bool:
 
 
 def cache_keeps_answer(w: BraidWord, cache_dir: str) -> bool:
-    """Whether w's HOMFLYPT and Seifert answer is the same with the cache
-    in ``cache_dir`` as with none."""
-    flags = ("--homfly", "--seifert")
-    return cli_answer(w, *flags, "--cache-dir", cache_dir) == cli_answer(w, *flags)
+    """Whether w's HOMFLYPT and Seifert answer, and its Khovanov answer, are
+    the same with the cache in ``cache_dir`` as with none."""
+    return all(cli_answer(w, *flags, "--cache-dir", cache_dir) == cli_answer(w, *flags)
+               for flags in (("--homfly", "--seifert"), ("--khovanov",)))
 
 
 def main() -> int:

@@ -4,6 +4,7 @@ from .braid import (
     BraidWord,
     QPFactorization,
     BraidError,
+    PreconditionFailed,
     NotDestabilizable,
     EngineInconsistency,
     parse_braid_word,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .braid import BraidWord, EngineInconsistency, writhe
+from .braid import BraidError, BraidWord, EngineInconsistency, writhe
 from .homfly import homfly
 from .laurent import AQPolynomial, a_degree_range
 
@@ -49,15 +49,15 @@ class EmptyTable(ValueError):
     """Degree queries on an empty dimension table."""
 
 
-class ParityError(ValueError):
+class ParityError(BraidError):
     """Grading conversion requires k - j to be even."""
 
 
-class InvertedSpan(ValueError):
+class InvertedSpan(BraidError):
     """A supplied grading span has delta_plus below delta_minus."""
 
 
-class SpanOffLines(ValueError):
+class SpanOffLines(BraidError):
     """A supplied grading span leaves the diagram lines w - b + 1, w + b - 1."""
 
 

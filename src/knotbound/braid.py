@@ -32,6 +32,7 @@ __all__ = [
     "GarsideNormalForm",
     "QPFactorization",
     "BraidError",
+    "PreconditionFailed",
     "NotDestabilizable",
     "EngineInconsistency",
     "TooManyStrands",
@@ -69,7 +70,13 @@ __all__ = [
 
 
 class BraidError(ValueError):
-    """Invalid braid-word input."""
+    """Invalid input: a malformed braid word or diagram, or an inconsistent
+    request.  The CLI exits 2 on it."""
+
+
+class PreconditionFailed(BraidError):
+    """Well-formed input that an engine refuses: over a budget, or outside
+    the domain of the invariant asked for.  The CLI exits 3 on it."""
 
 
 class NotDestabilizable(BraidError):
@@ -81,7 +88,7 @@ class NotDestabilizable(BraidError):
 MAX_STRANDS = 1000
 
 
-class TooManyStrands(BraidError):
+class TooManyStrands(PreconditionFailed):
     """The braid word would have more than ``MAX_STRANDS`` strands."""
 
 

@@ -6,9 +6,9 @@ planar diagram), ``family`` (built-in braid families), ``bounds``
 suite), ``cache`` (inspect or clear the result cache).
 
 Exit codes: 0 success, 1 failed verification claim, 2 usage or parse
-error, 3 precondition failure (e.g. a disconnected Seifert surface, or an
-input over the strand budget, the Khovanov object budget, the HOMFLYPT
-term or packed-width budget, or the Seifert matrix budget).
+error (a ``BraidError``, or an unreadable file), 3 precondition failure
+(a ``PreconditionFailed``: an input over one of the engines' budgets, or
+outside the domain of the invariant asked for).
 JSON output is deterministic: same input, byte-identical output.
 """
 
@@ -22,13 +22,12 @@ from dataclasses import asdict, replace
 from typing import Optional
 
 from . import braid
-from .braid import BraidWord, BraidError, TooManyStrands, parse_braid_word
-from .bounds import InvertedSpan, ParityError, SpanOffLines, kr_report, mfw_report
+from .braid import BraidWord, BraidError, PreconditionFailed, parse_braid_word
+from .bounds import kr_report, mfw_report
 from .cache import ENV_VAR, INVARIANTS, InvariantRecord, ResultCache, key_string
-from .homfly import TooManyTerms, TooWide, homfly, packed_width
+from .homfly import homfly, packed_width
 from .khovanov import (
     BigradedRanks,
-    TooManyCrossings,
     braid_to_pd,
     pd_from_text,
     pd_to_text,
@@ -36,14 +35,7 @@ from .khovanov import (
     reduced_khovanov,
 )
 from .laurent import AQPolynomial, to_aq
-from .seifert import (
-    DisconnectedSurface,
-    NotAKnot,
-    TooManyLoops,
-    check_surface,
-    determinant,
-    signature,
-)
+from .seifert import check_surface, determinant, signature
 from .verify import run_claims
 
 USAGE_ERROR = 2
@@ -68,18 +60,14 @@ def _emit(payload: dict, as_json: bool) -> None:
         print(f"{key}: {value}")
 
 
-def _compute(name: str, w: BraidWord, knot_key: Optional[tuple]):
-    """One invariant of the closure of ``w``, in its cache-record form.
-
-    ``knot_key`` is the closure key of ``w`` when ``w`` closes to a knot,
-    else None; a knot's Khovanov table is scanned from the key's word.
-    """
+def _compute(name: str, w: BraidWord, rep: BraidWord, knot: bool):
+    """One invariant of the closure of ``w``, in its cache-record form;
+    ``rep`` is the closure key's word (see ``_invariant_payload``)."""
     if name == "homfly":
-        aq = to_aq(homfly(w))
+        aq = to_aq(homfly(rep))
         return {"terms": aq.triples(), "clearing": aq.clearing}
     if name == "khovanov":
-        scan = BraidWord(*knot_key) if knot_key else w
-        return reduced_khovanov(braid_to_pd(scan)).triples()
+        return reduced_khovanov(braid_to_pd(rep if knot else w)).triples()
     return signature(w) if name == "signature" else determinant(w)
 
 
@@ -87,42 +75,39 @@ def _invariant_payload(w: BraidWord, wanted: tuple[str, ...], cache: ResultCache
     """Render the ``wanted`` invariants (names from ``INVARIANTS``), each
     computed only if the cached record of the closure lacks it.
 
-    A knot's reduced Khovanov table depends only on the knot, so it is
-    scanned from the diagram of the key word ``BraidWord(*key)``.  That word
-    is cyclically reduced and destabilized, and as the least rotation it
-    starts with a longest run of its most negative letter, which keeps the
-    scan's complexes small.  A link's table depends on which component
-    carries the marked edge, so a link is scanned from its own diagram.
-    The other invariants are computed from ``w``.
+    The record is keyed by the closure key, and what depends only on the
+    closure is computed from the key's word ``BraidWord(*key)``: HOMFLYPT,
+    and a knot's reduced Khovanov table.  That word is cyclically reduced
+    and destabilized, and as the least rotation it starts with a longest
+    run of its most negative letter, which keeps the Khovanov scan's
+    complexes small.  A link's table depends on which component carries
+    the marked edge, and the Seifert surface is the query diagram's, so
+    those are computed from ``w``.
 
-    A served record never changes the output or the exit code: the engines'
-    checks that read the word alone run on ``w`` before the lookup, so a
-    word the engine refuses is refused even when a Markov-equivalent word
-    has stored its values.
+    A served record never changes the output or the exit code.  What is
+    computed from the key's word is refused, or not, for the key alone.
+    The engines' checks that read ``w`` alone run on ``w`` before the
+    lookup, so a word the engine refuses is refused even when a
+    Markov-equivalent word has stored its values.
     """
     if "homfly" in wanted:
         packed_width(w)
     if "signature" in wanted or "determinant" in wanted:
         check_surface(w)
-    # The cache needs the closure key, and so does a knot's Khovanov scan.
     # A record describes the closure, so it carries the strands and writhe
     # of the key's word, not of w.
-    needs_key = cache.enabled or "khovanov" in wanted
-    key = braid.canonical_closure_key(w) if needs_key else None
-    key_text = key_string(key) if key else None
-    record = cache.load(key_text) if cache.enabled else None
-    if record is None:
-        rep = BraidWord(*key) if key else w
-        record = InvariantRecord.fresh(
-            canonical_key=key_text, strands=rep.strands, writhe=braid.writhe(rep),
-            components=braid.closure_components(w),
-        )
-    knot_key = key if record.components == 1 else None
-    missing = {n: _compute(n, w, knot_key) for n in wanted if getattr(record, n) is None}
+    key = braid.canonical_closure_key(w)
+    rep = BraidWord(*key)
+    key_text = key_string(key)
+    record = cache.load(key_text) or InvariantRecord.fresh(
+        canonical_key=key_text, strands=rep.strands, writhe=braid.writhe(rep),
+        components=braid.closure_components(w),
+    )
+    knot = record.components == 1
+    missing = {n: _compute(n, w, rep, knot) for n in wanted if getattr(record, n) is None}
     if missing:
         record = replace(record, **missing)
-        if cache.enabled:
-            cache.store(record)
+        cache.store(record)
     payload: dict = {"word": str(w), "strands": w.strands,
                      "writhe": braid.writhe(w), "components": record.components}
     for name in wanted:
@@ -149,6 +134,8 @@ def _cmd_invariants(args) -> int:
             raise BraidError(f"{args.pd_file} is not UTF-8 text: {exc.reason}") from None
         _emit({"khovanov": _kh_payload(reduced_khovanov(pd_from_text(text)))}, args.json)
         return 0
+    if args.strands is None:
+        raise BraidError("--strands is required with a braid word")
     w = parse_braid_word(args.word, args.strands)
     if args.emit_pd:
         sys.stdout.write(pd_to_text(braid_to_pd(w)))
@@ -295,16 +282,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    if args.command == "invariants" and not args.pd_file and args.strands is None:
-        print("error: --strands is required with a braid word", file=sys.stderr)
-        return USAGE_ERROR
     try:
         return args.func(args)
-    except (DisconnectedSurface, NotAKnot, TooManyCrossings, TooManyLoops,
-            TooManyStrands, TooManyTerms, TooWide) as exc:
+    except PreconditionFailed as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return PRECONDITION_ERROR
-    except (BraidError, ParityError, InvertedSpan, SpanOffLines, OSError) as exc:
+    except (BraidError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

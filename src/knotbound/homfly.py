@@ -42,9 +42,9 @@ neighbour.  Every state lives inside one ``homfly`` call.
 from __future__ import annotations
 
 from .braid import (
-    BraidError,
     BraidWord,
     Perm,
+    PreconditionFailed,
     canonical_closure_key,  # noqa: F401  unused here; perfbench/tracing.py patches it
     closure_components,  # noqa: F401  unused here; perfbench/tracing.py patches it
     writhe,
@@ -68,11 +68,11 @@ MAX_TERMS = 10_000
 MAX_WIDTH = 1_600
 
 
-class TooManyTerms(BraidError):
+class TooManyTerms(PreconditionFailed):
     """The Hecke expansion would keep more than ``MAX_TERMS`` basis terms."""
 
 
-class TooWide(BraidError):
+class TooWide(PreconditionFailed):
     """The packed coefficients would need digits of more than ``MAX_WIDTH`` bits."""
 
 

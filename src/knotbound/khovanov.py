@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional
 
-from .braid import BraidWord, BraidError, EngineInconsistency
+from .braid import BraidWord, BraidError, EngineInconsistency, PreconditionFailed
 from .laurent import LaurentPoly1
 
 __all__ = [
@@ -48,7 +48,7 @@ __all__ = [
 MAX_OBJECTS = 20_000
 
 
-class TooManyCrossings(BraidError):
+class TooManyCrossings(PreconditionFailed):
     """A scanning step would build more than ``MAX_OBJECTS`` objects."""
 
 

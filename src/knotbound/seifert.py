@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braid import BraidWord, BraidError, EngineInconsistency, closure_components
+from .braid import BraidWord, EngineInconsistency, PreconditionFailed, closure_components
 from .homfly import homfly
 from .laurent import LaurentPoly1, to_aq
 
@@ -54,11 +54,11 @@ __all__ = [
 ]
 
 
-class DisconnectedSurface(BraidError):
+class DisconnectedSurface(PreconditionFailed):
     """Some generator index never occurs, so the bands miss a disk."""
 
 
-class NotAKnot(BraidError):
+class NotAKnot(PreconditionFailed):
     """Operation defined for one-component closures only."""
 
 
@@ -68,7 +68,7 @@ class NotAKnot(BraidError):
 MAX_LOOPS = 256
 
 
-class TooManyLoops(BraidError):
+class TooManyLoops(PreconditionFailed):
     """The Seifert matrix would have more than ``MAX_LOOPS`` rows."""
 
 
@@ -76,7 +76,6 @@ class TooManyLoops(BraidError):
 class SeifertData:
     """Seifert matrix in the band-pair loop basis."""
 
-    strands: int
     matrix: tuple[tuple[int, ...], ...]
 
     @property
@@ -144,7 +143,7 @@ def seifert_matrix(w: BraidWord) -> SeifertData:
                     v[lo][hi] = -1
                 elif a < p < b < q:
                     v[lo][hi] = 1
-    return SeifertData(n, tuple(tuple(row) for row in v))
+    return SeifertData(tuple(tuple(row) for row in v))
 
 
 def _eliminate(rows: list[list[int]]) -> tuple[int, int, int, int]:

@@ -21,11 +21,15 @@ from hypothesis import strategies as st
 from knotbound import cli, khovanov
 from knotbound.braid import (
     MAX_STRANDS,
+    BraidError,
     BraidWord,
+    PreconditionFailed,
+    _half_twist,
     canonical_closure_key,
     closure_components,
     conjugate,
     parse_braid_word,
+    permutation_braid_word,
     stabilize,
 )
 from knotbound.cache import (
@@ -37,7 +41,7 @@ from knotbound.cache import (
     key_string,
 )
 from knotbound.cli import build_parser, main
-from knotbound.homfly import MAX_WIDTH
+from knotbound.homfly import MAX_WIDTH, TooManyTerms, homfly
 from conftest import random_word
 
 
@@ -422,7 +426,7 @@ def test_cache_never_lifts_a_seifert_refusal(tmp_path, capsys, stored, query, st
 @given(st.integers(0, 2**32 - 1))
 def test_cached_and_uncached_queries_agree(seed):
     # A word (which may miss a generator), its conjugates and its
-    # stabilizations, each with some of --homfly and --seifert, asked in a
+    # stabilizations, each with one of the flag sets below, asked in a
     # random order through one shared cache and with none.
     rng = random.Random(seed)
     n = rng.randint(2, 4)
@@ -430,7 +434,8 @@ def test_cached_and_uncached_queries_agree(seed):
     gens = [g for g in range(1, n)] + [-g for g in range(1, n)]
     words = [w, stabilize(w, 1), stabilize(w, -1)]
     words += [conjugate(v, BraidWord(v.strands, (rng.choice(gens),))) for v in words]
-    flags = (["--homfly"], ["--seifert"], ["--homfly", "--seifert"])
+    flags = (["--homfly"], ["--seifert"], ["--homfly", "--seifert"], ["--khovanov"],
+             ["--homfly", "--khovanov"], ["--all"])
     queries = [["invariants", str(v), "--strands", str(v.strands), "--json",
                 *rng.choice(flags)] for v in words]
     rng.shuffle(queries)
@@ -446,6 +451,42 @@ def test_cached_and_uncached_queries_agree(seed):
 
     with tempfile.TemporaryDirectory() as cache_dir:
         assert answers(["--cache-dir", cache_dir]) == answers([])
+
+
+def test_cache_never_lifts_a_term_budget_refusal(tmp_path, capsys):
+    # Delta^-1 Delta on 8 strands closes to the 8-component unlink, key
+    # (8, ()), as "1 -1" does.  Its own Hecke expansion is over the term
+    # budget, so HOMFLYPT is computed from the key word, cached or not.
+    delta = permutation_braid_word(_half_twist(8))
+    word = " ".join(map(str, [-e for e in reversed(delta)] + list(delta)))
+    w = parse_braid_word(word, 8)
+    assert canonical_closure_key(w) == (8, ())
+    with pytest.raises(TooManyTerms):
+        homfly(w)
+    argv = ["invariants", word, "--strands", "8", "--homfly"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    cache = ["--cache-dir", str(tmp_path)]
+    assert run(capsys, ["invariants", "1 -1", "--strands", "8", "--homfly", *cache])[0] == 0
+    assert run(capsys, argv + cache)[:2] == (code, out)
+
+
+def test_exit_code_follows_the_refusal_class(capsys, monkeypatch):
+    # A refusal class unknown to the CLI gets its exit code from its base.
+    class NewBudget(PreconditionFailed):
+        pass
+
+    class NewInputError(BraidError):
+        pass
+
+    for cls, code, prefix in ((NewBudget, 3, "precondition failed"),
+                              (NewInputError, 2, "error")):
+        def refuse(w, cls=cls):
+            raise cls("refused")
+
+        monkeypatch.setattr(cli, "mfw_report", refuse)
+        assert run(capsys, ["bounds", "1 1 1", "--strands", "2"]) == (
+            code, "", f"{prefix}: refused\n")
 
 
 def test_disconnected_surface_message_lists_ten_generators(capsys):
