@@ -19,10 +19,15 @@ simple-element product.
 The result cache keys a closure at the word level, so it needs no normal
 form: the cyclically reduced word, destabilized while its top generator
 occurs exactly once, then its least cyclic rotation.
+The Khovanov scan, whose cost grows with the crossings, takes a shorter word
+when one is found: ``reduce_handles`` for the same braid (Dehornoy handle
+reduction) and ``scan_word`` for the same closure (a bounded search over
+handle reduction, braid relations and the key rule).
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -48,6 +53,8 @@ __all__ = [
     "stabilize",
     "garside_normal_form",
     "canonical_closure_key",
+    "reduce_handles",
+    "scan_word",
     "destabilize",
     "FAMILIES",
     "elrifai_k_word",
@@ -400,6 +407,41 @@ def garside_normal_form(w: BraidWord) -> GarsideNormalForm:
     return nf
 
 
+def _least_rotation(letters: tuple[int, ...]) -> int:
+    """Start of the lexicographically least cyclic rotation, in O(L) (K. S.
+    Booth, "Lexicographically least circular substrings", Inf. Process.
+    Lett. 10, 1980): the failure function of the doubled word is built
+    against the best start found so far."""
+    doubled = letters + letters
+    fail = [-1] * len(doubled)
+    k = 0
+    for j in range(1, len(doubled)):
+        c = doubled[j]
+        i = fail[j - k - 1]
+        while i != -1 and c != doubled[k + i + 1]:
+            if c < doubled[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if c != doubled[k + i + 1]:  # i == -1
+            if c < doubled[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
+
+
+def _closure_key(n: int, letters: tuple[int, ...]) -> tuple:
+    """``canonical_closure_key`` of the word ``letters`` on ``n`` strands."""
+    letters = _cyclic_reduce(letters)
+    while n > 1 and letters.count(n - 1) + letters.count(1 - n) == 1:
+        k = letters.index(n - 1 if n - 1 in letters else 1 - n)
+        letters = _cyclic_reduce(letters[k + 1:] + letters[:k])
+        n -= 1
+    s = _least_rotation(letters)
+    return (n, letters[s:] + letters[:s])
+
+
 def canonical_closure_key(w: BraidWord) -> tuple:
     """Word-level cache key for the closure of w, stable under Markov moves.
 
@@ -407,7 +449,7 @@ def canonical_closure_key(w: BraidWord) -> tuple:
     and sigma_{n-1}^{+-1} occurs in it exactly once, that letter is deleted,
     the strand count drops to n - 1 and the word is cyclically reduced again.
     The key is the final strand count and the least cyclic rotation of the
-    final word.
+    final word, found in linear time by Booth's algorithm.
 
     Equal keys imply isotopic oriented closures.  Conjugating w by any word
     and cyclically reducing gives a rotation of ``cyclic_reduce(w)``, so
@@ -421,13 +463,163 @@ def canonical_closure_key(w: BraidWord) -> tuple:
     relations (``1 2 1`` and ``2 1 2``), or destabilizable only after such
     relations, get distinct keys, which costs cache hits, never correctness.
     """
-    n, letters = w.strands, _cyclic_reduce(w.letters)
-    while n > 1 and letters.count(n - 1) + letters.count(1 - n) == 1:
-        k = letters.index(n - 1 if n - 1 in letters else 1 - n)
-        letters = _cyclic_reduce(letters[k + 1:] + letters[:k])
-        n -= 1
-    rotations = (letters[s:] + letters[:s] for s in range(len(letters)))
-    return (n, min(rotations, default=()))
+    return _closure_key(w.strands, w.letters)
+
+
+# ---------------------------------------------------------------------------
+# Shorter words for the Khovanov scan, whose cost grows with the crossings
+
+# reduce_handles gives up once its word is longer than HANDLE_GROWTH times
+# the freely reduced input, or once it has examined HANDLE_WORK letters per
+# input letter.
+HANDLE_GROWTH = 2
+HANDLE_WORK = 16
+# Most candidate words that scan_word normalises by the closure-key rule.
+SCAN_CANDIDATES = 20
+
+
+def _sign(e: int) -> int:
+    return 1 if e > 0 else -1
+
+
+def _reduced_handle(opener: int, interior: list[int]) -> list[int]:
+    """A word equal to the handle sigma_i^e u sigma_i^-e, where ``opener``
+    is the letter e i and u is a word in sigma_{i+1}, ..., sigma_{n-1}:
+    conjugation by sigma_i^e turns each sigma_{i+1}^d of u into
+    sigma_{i+1}^-e sigma_i^d sigma_{i+1}^e and commutes with the rest."""
+    i, e = abs(opener), _sign(opener)
+    out: list[int] = []
+    for x in interior:
+        for y in ((-e * (i + 1), _sign(x) * i, e * (i + 1))
+                  if abs(x) == i + 1 else (x,)):
+            if out and out[-1] == -y:
+                out.pop()
+            else:
+                out.append(y)
+    return out
+
+
+def reduce_handles(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """A word for the same braid, never longer than the free reduction of
+    ``letters``, by Dehornoy handle reduction.
+
+    A sigma_i-handle is a subword sigma_i^e u sigma_i^-e in which u has only
+    letters sigma_j^{+-1} with j > i (P. Dehornoy, "A fast method for
+    comparing braids", Adv. Math. 125, 1997).  The handle whose closing
+    letter comes first is reduced each time, so it holds no other handle
+    and is permitted.  One scan from the left keeps, before each position,
+    the letters that could still open a handle; after a reduction it
+    resumes where the handle began.  If the word grows past
+    ``HANDLE_GROWTH`` times its start length, or the scan has examined
+    ``HANDLE_WORK`` letters per start letter, or the final word is longer,
+    the free reduction of ``letters`` is returned.
+    """
+    start = _free_reduce(letters)
+    word = list(start)
+    ceiling = HANDLE_GROWTH * len(start)
+    budget = HANDLE_WORK * len(start)
+    # openers[p]: the possible openers before position p, as a linked list
+    # (position, rest) whose generator indices fall from the head outwards.
+    openers: list = [None]
+    p = 0
+    while p < len(word):
+        budget -= 1
+        if budget < 0 or len(word) > ceiling:
+            return start
+        e = word[p]
+        top = openers[p]
+        while top is not None and abs(word[top[0]]) > abs(e):
+            top = top[1]
+        if top is not None and abs(word[top[0]]) == abs(e):
+            s = top[0]
+            if word[s] == -e:
+                word[s:p + 1] = _reduced_handle(word[s], word[s + 1:p])
+                del openers[s + 1:]
+                p = s
+                continue
+            top = top[1]
+        openers.append((p, top))
+        p += 1
+    return tuple(word) if len(word) <= len(start) else start
+
+
+def _cyclic_handle_reduce(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """``reduce_handles`` of one rotation of a cyclically reduced word.
+
+    Let m be the lowest generator present.  Every sigma_j-handle with j > m
+    lies between two cyclically consecutive sigma_m^{+-1}, so the rotation
+    ends with a sigma_m^e whose successor sigma_m^{+-1} is sigma_m^e too,
+    which no handle crosses; if there is none, with the last sigma_m^{+-1},
+    which only the sigma_m-handle closing at the first one crosses.
+    """
+    if not letters:
+        return letters
+    m = min(abs(e) for e in letters)
+    at = [k for k, e in enumerate(letters) if abs(e) == m]
+    end = next((k for k, k_next in zip(at, at[1:] + at[:1])
+                if letters[k] == letters[k_next]), at[-1])
+    return _cyclic_reduce(reduce_handles(letters[end + 1:] + letters[:end + 1]))
+
+
+def _relation_moves(n: int, letters: tuple[int, ...]):
+    """The cyclic words one length-3 relation away from ``letters``, those
+    that cancel a letter or remove a sigma_{n-1}^{+-1} first.
+
+    For |a - b| = 1 the relations are sigma_a sigma_b sigma_a =
+    sigma_b sigma_a sigma_b, with its inverse, and
+    sigma_a^e sigma_b^f sigma_a^-e = sigma_b^-e sigma_a^f sigma_b^e.
+    """
+    size = len(letters)
+    if size < 3:
+        return
+    moves = []
+    for p in range(size):
+        x, y, z = letters[p], letters[(p + 1) % size], letters[(p + 2) % size]
+        if abs(abs(x) - abs(y)) != 1:
+            continue
+        if x == z and _sign(x) == _sign(y):
+            new = (y, x, y)
+        elif x == -z:
+            new = (-_sign(x) * abs(y), _sign(y) * abs(x), _sign(x) * abs(y))
+        else:
+            continue
+        gain = ((new[0] == -letters[p - 1]) + (new[2] == -letters[(p + 3) % size])
+                + (abs(x) == n - 1))
+        moves.append((-gain, p, new))
+    moves.sort()
+    for _, p, new in moves:
+        yield new + (letters[p:] + letters[:p])[3:]
+
+
+def scan_word(key_word: BraidWord) -> BraidWord:
+    """The shortest word found for the closure of ``key_word``, as a key word.
+
+    A best-first search over cyclic words with the same closure, from the
+    closure key of ``key_word``.  A word's neighbours are its cyclic handle
+    reduction and its ``_relation_moves``; each is normalised by the key
+    rule, which also destabilizes, and at most ``SCAN_CANDIDATES`` are, so
+    the cost is linear in the word length.  A word replaces the best one
+    found only if it is shorter, or as long on fewer strands.  Only the
+    closure is kept, not which strand closes to which component, so this is
+    for knots.
+    """
+    start = _closure_key(key_word.strands, key_word.letters)
+    best, seen = start, {start}
+    frontier = [(len(start[1]), start)]
+    budget = SCAN_CANDIDATES
+    while frontier and budget:
+        n, letters = heapq.heappop(frontier)[1]
+        neighbours = itertools.chain([_cyclic_handle_reduce(letters)],
+                                     _relation_moves(n, letters))
+        for word in itertools.islice(neighbours, budget):
+            budget -= 1
+            key = _closure_key(n, word)
+            if key not in seen:
+                seen.add(key)
+                heapq.heappush(frontier, (len(key[1]), key))
+                if (len(key[1]), key[0]) < (len(best[1]), best[0]):
+                    best = key
+    return BraidWord(*best)
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,9 @@ def _compute(name: str, w: BraidWord, rep: BraidWord, knot: bool):
         aq = to_aq(homfly(rep))
         return {"terms": aq.triples(), "clearing": aq.clearing}
     if name == "khovanov":
-        return reduced_khovanov(braid_to_pd(rep if knot else w)).triples()
+        scanned = (braid.scan_word(rep) if knot
+                   else w.with_letters(braid.reduce_handles(w.letters)))
+        return reduced_khovanov(braid_to_pd(scanned)).triples()
     return signature(w) if name == "signature" else determinant(w)
 
 
@@ -80,9 +82,13 @@ def _invariant_payload(w: BraidWord, wanted: tuple[str, ...], cache: ResultCache
     and a knot's reduced Khovanov table.  That word is cyclically reduced
     and destabilized, and as the least rotation it starts with a longest
     run of its most negative letter, which keeps the Khovanov scan's
-    complexes small.  A link's table depends on which component carries
-    the marked edge, and the Seifert surface is the query diagram's, so
-    those are computed from ``w``.
+    complexes small.  The scan's cost grows with the crossings, so a knot
+    is scanned from ``braid.scan_word`` of the key's word, the shortest
+    word its bounded search finds for the same closure.  A link's table
+    depends on which component carries the marked edge, so a link is
+    scanned from ``braid.reduce_handles`` of ``w``, an equal braid; the
+    Seifert surface is the query diagram's, so the signature and the
+    determinant are computed from ``w``.
 
     A served record never changes the output or the exit code.  What is
     computed from the key's word is refused, or not, for the key alone.

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from knotbound import braid
 from knotbound.braid import (
+    SCAN_CANDIDATES,
     BraidError,
     BraidWord,
     FAMILIES,
@@ -15,6 +17,7 @@ from knotbound.braid import (
     QPFactorization,
     _half_twist,
     _identity,
+    _least_rotation,
     _left_product,
     _perm_inv,
     _perm_mul,
@@ -40,8 +43,11 @@ from knotbound.braid import (
     permutation_braid_word,
     qp_elrifai_k,
     qp_elrifai_l,
+    reduce_handles,
     resolution_word,
+    scan_word,
     stabilize,
+    torus2_word,
     writhe,
 )
 
@@ -324,6 +330,82 @@ def test_canonical_key_stabilization_invariance(case, sign, sign2):
 ])
 def test_canonical_key_destabilizes(text, strands, key):
     assert canonical_closure_key(parse_braid_word(text, strands)) == key
+
+
+def _least_rotation_by_min(letters):
+    """Oracle: the least of all cyclic rotations, quadratic in the length."""
+    return min((letters[s:] + letters[:s] for s in range(len(letters))), default=())
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from([1, -1, 2, -2, 3]), max_size=16)
+       | st.lists(st.sampled_from([1, 2]), max_size=16))
+@example([1, 2, 1, 2, 1, 2])
+@example([2, 1, 1, 2, 1, 1, 2, 1])
+def test_least_rotation_matches_min_oracle(letters):
+    letters = tuple(letters)
+    s = _least_rotation(letters)
+    assert letters[s:] + letters[:s] == _least_rotation_by_min(letters)
+
+
+@st.composite
+def words_on_2_to_5_strands(draw, max_letters=16):
+    n = draw(st.integers(2, 5))
+    gens = [s * g for g in range(1, n) for s in (1, -1)]
+    return BraidWord(n, tuple(draw(st.lists(st.sampled_from(gens), max_size=max_letters))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(words_on_2_to_5_strands())
+@example(parse_braid_word("1 2 2 1 1 2 -2 1 -2 -2 -2", 3))
+@example(parse_braid_word("-1 2 1 2 -1 2 1 2", 3))
+def test_reduce_handles_keeps_the_braid(w):
+    reduced = w.with_letters(reduce_handles(w.letters))
+    assert garside_normal_form(reduced) == garside_normal_form(w)
+    assert len(reduced) <= len(free_reduce(w))
+
+
+@pytest.mark.parametrize("text, strands, reduced", [
+    ("1 2 -1", 3, (-2, 1, 2)),  # one handle, as long as the word
+    ("1 -2 2 -1", 3, ()),  # free reduction is handle reduction
+    ("-1 2 1 2 -1 2 1 2", 3, (2, 2, 1, 2)),
+    ("2 1 1 -2", 3, (2, 1, 1, -2)),  # sigma_1 inside: not a sigma_2-handle
+    # Reduced to -2 1 -3 2 3 1 2, which is longer: the input comes back.
+    ("1 2 3 2 -1", 4, (1, 2, 3, 2, -1)),
+])
+def test_reduce_handles_examples(text, strands, reduced):
+    assert reduce_handles(parse_braid_word(text, strands).letters) == reduced
+
+
+def test_reduce_handles_gives_up_past_its_work_budget(monkeypatch):
+    monkeypatch.setattr(braid, "HANDLE_WORK", 1)
+    # Three letters examined, then the handle sends the scan back.
+    assert reduce_handles((1, 2, -1)) == (1, 2, -1)
+
+
+def test_scan_word_normalises_a_bounded_number_of_words(monkeypatch):
+    calls = []
+    key = braid._closure_key
+
+    def counting(n, letters):
+        calls.append(len(letters))
+        return key(n, letters)
+
+    monkeypatch.setattr(braid, "_closure_key", counting)
+    rng = random.Random(2000)
+    while True:
+        long_knot = BraidWord(3, tuple(rng.choice((1, -1, 2, -2)) for _ in range(2000)))
+        if closure_components(long_knot) == 1:
+            break
+    for w in (torus2_word(1597), long_knot):
+        calls.clear()
+        scanned = scan_word(w)
+        # The start's key, then at most SCAN_CANDIDATES words, none longer
+        # than the start: the search's work is linear in the word length.
+        assert len(calls) <= SCAN_CANDIDATES + 1
+        assert max(calls) <= len(w)
+        assert len(scanned) <= calls[0]
+    assert len(scanned) < len(canonical_closure_key(long_knot)[1])
 
 
 def _permutation_word_by_rescans(p):

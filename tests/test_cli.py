@@ -2,6 +2,7 @@ import contextlib
 import gc
 import importlib
 import io
+import itertools
 import json
 import os
 import random
@@ -15,7 +16,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knotbound import cli, khovanov
@@ -27,6 +28,7 @@ from knotbound.braid import (
     _half_twist,
     canonical_closure_key,
     closure_components,
+    closure_permutation,
     conjugate,
     parse_braid_word,
     permutation_braid_word,
@@ -313,24 +315,30 @@ def test_crossing_budget_exit_3(tmp_path, capsys, monkeypatch):
         assert len(built) < len(pd.crossings)
 
 
+def closed_to(w, components):
+    """w times a shortest permutation braid after which its closure has
+    ``components`` components."""
+    tails = sorted((permutation_braid_word(q)
+                    for q in itertools.permutations(range(w.strands))), key=len)
+    return next(v for v in (w.with_letters(w.letters + t) for t in tails)
+                if closure_components(v) == components)
+
+
 @st.composite
-def knot_words(draw):
-    """Knot words on 2..5 strands, conjugated, then perhaps stabilized."""
-    n = draw(st.integers(2, 5))
+def closure_words(draw, components):
+    """Words on 2..5 strands of up to 12 random letters, closed to
+    ``components`` components by a permutation braid, conjugated, then
+    perhaps stabilized."""
+    n = draw(st.integers(max(2, components), 5))
     gens = [g for g in range(1, n)] + [-g for g in range(1, n)]
-    w = BraidWord(n, tuple(draw(st.lists(st.sampled_from(gens), min_size=n - 1,
-                                         max_size=8))))
-    assume(closure_components(w) == 1)
+    w = BraidWord(n, tuple(draw(st.lists(st.sampled_from(gens), max_size=12))))
+    w = closed_to(w, components)
     w = conjugate(w, BraidWord(n, tuple(draw(st.lists(st.sampled_from(gens), max_size=2)))))
     sign = draw(st.sampled_from([0, 1, -1]))
     return stabilize(w, sign) if sign else w
 
 
-@settings(max_examples=100, deadline=None)
-@given(knot_words())
-def test_knot_khovanov_matches_query_word_scan(w):
-    # The CLI scans a knot from its key word; the table must be the query
-    # word's own.
+def assert_khovanov_is_the_query_words(w):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["invariants", str(w), "--strands", str(w.strands),
@@ -338,6 +346,26 @@ def test_knot_khovanov_matches_query_word_scan(w):
     assert code == 0
     expected = khovanov.reduced_khovanov(khovanov.braid_to_pd(w)).triples()
     assert json.loads(out.getvalue())["khovanov"]["ranks"] == [list(t) for t in expected]
+
+
+@settings(max_examples=100, deadline=None)
+@given(closure_words(components=1))
+def test_knot_khovanov_matches_query_word_scan(w):
+    # The CLI scans a knot from scan_word of its key word; the table must be
+    # the query word's own.
+    assert closure_components(w) == 1
+    assert_khovanov_is_the_query_words(w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(closure_words(components=2))
+@example(parse_braid_word("1 2 2 1 1 2 -2 1 -2 -2 -2", 3))
+@example(parse_braid_word("1 2 1 2 -1", 3))
+def test_link_khovanov_matches_query_word_scan(w):
+    # The CLI scans a link from reduce_handles of the query word, an equal
+    # braid, so strand 1's closure arc still carries the marked edge.
+    assert closure_components(w) == 2
+    assert_khovanov_is_the_query_words(w)
 
 
 def test_knot_scanned_from_key_word_link_from_its_own(tmp_path, capsys, monkeypatch):
@@ -349,12 +377,25 @@ def test_knot_scanned_from_key_word_link_from_its_own(tmp_path, capsys, monkeypa
     link = parse_braid_word("2 1 1 -2", 3)
     assert closure_components(knot) == 1 and closure_components(link) == 3
     assert canonical_closure_key(link) == (3, (1, 1))
+    # A 2-component link whose word reduce_handles shortens: its handle
+    # 1 2 -1 becomes -2 1 2, and 1 2 -2 1 2 freely reduces to 1 1 2.
+    handled = parse_braid_word("1 2 1 2 -1", 3)
+    assert closure_components(handled) == 2
     for cache in ([], ["--cache-dir", str(tmp_path)]):
-        for w, expected in ((knot, BraidWord(2, (-1, -1, -1))), (link, link)):
+        for w, expected in ((knot, BraidWord(2, (-1, -1, -1))), (link, link),
+                            (handled, BraidWord(3, (1, 1, 2)))):
             scanned.clear()
             code, _, _ = run(capsys, ["invariants", str(w), "--strands", "3",
                                       "--khovanov", *cache])
             assert code == 0 and scanned == [expected]
+    # A knot whose 8-letter key word is shortened by handle reduction and
+    # braid relations.
+    knot = parse_braid_word("-1 2 1 2 -1 2 1 2", 3)
+    key_word = BraidWord(*canonical_closure_key(knot))
+    assert len(key_word) == 8
+    scanned.clear()
+    assert run(capsys, ["invariants", str(knot), "--strands", "3", "--khovanov"])[0] == 0
+    assert len(scanned) == 1 and len(scanned[0]) < len(key_word)
 
 
 def test_homfly_term_budget_exit_3(capsys, monkeypatch):

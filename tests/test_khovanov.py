@@ -8,12 +8,16 @@ from hypothesis import strategies as st
 
 from knotbound.braid import (
     BraidWord,
+    canonical_closure_key,
     conjugate,
     elrifai_k_word,
     free_reduce,
     mirror,
+    parse_braid_word,
+    scan_word,
     stabilize,
 )
+from knotbound.homfly import homfly
 from knotbound.khovanov import (
     BigradedRanks,
     _rank_sparse,
@@ -198,6 +202,25 @@ def test_markov_invariance_over_components(w, data):
 def test_mirror_duality(w):
     # Mirroring the diagram negates both gradings of the reduced table.
     assert reduced_khovanov(braid_to_pd(mirror(w))) == reduced_khovanov(braid_to_pd(w)).mirror()
+
+
+def tables_over_components(w):
+    """Reduced Khovanov tables with one marked edge per component, sorted."""
+    pd = braid_to_pd(w)
+    return sorted(reduced_khovanov(replace(pd, marked_edge=e)).ranks
+                  for e in pd.component_edges())
+
+
+@settings(max_examples=100, deadline=None)
+@given(braid_words(max_letters=12))
+@example(parse_braid_word("-1 2 1 2 -1 2 1 2", 3))
+@example(parse_braid_word("1 2 2 1 1 2 -2 1 -2 -2 -2", 3))
+def test_scan_word_keeps_the_closure(w):
+    key_word = BraidWord(*canonical_closure_key(w))
+    scanned = scan_word(key_word)
+    assert len(scanned) <= len(key_word)
+    assert homfly(scanned) == homfly(key_word)
+    assert tables_over_components(scanned) == tables_over_components(key_word)
 
 
 def test_split_components_handled():
