@@ -28,7 +28,6 @@ from knotbound.braid import (
     _half_twist,
     canonical_closure_key,
     closure_components,
-    closure_permutation,
     conjugate,
     parse_braid_word,
     permutation_braid_word,

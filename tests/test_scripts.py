@@ -37,3 +37,9 @@ def test_resolution_table_runs():
     # The main knot: thinness predicts 7 ranks, its homology has 15.
     assert "non-thin (7 predicted vs 15 actual)" in proc.stdout
     assert proc.stdout.count("\n") == 2 + 2 * 7
+
+
+def test_scan_timing_runs():
+    proc = run_script("scan_timing.py", "--knots", "5", "--repeats", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("5 knots, seed 1: key ")
