@@ -561,9 +561,9 @@ def _cyclic_handle_reduce(letters: tuple[int, ...]) -> tuple[int, ...]:
     return _cyclic_reduce(reduce_handles(letters[end + 1:] + letters[:end + 1]))
 
 
-def _relation_moves(n: int, letters: tuple[int, ...]):
-    """The cyclic words one length-3 relation away from ``letters``, those
-    that cancel a letter or remove a sigma_{n-1}^{+-1} first.
+def _relation_moves(letters: tuple[int, ...]):
+    """The cyclic words one length-3 relation away from ``letters``, in the
+    order of the position where the relation applies.
 
     For |a - b| = 1 the relations are sigma_a sigma_b sigma_a =
     sigma_b sigma_a sigma_b, with its inverse, and
@@ -572,7 +572,6 @@ def _relation_moves(n: int, letters: tuple[int, ...]):
     size = len(letters)
     if size < 3:
         return
-    moves = []
     for p in range(size):
         x, y, z = letters[p], letters[(p + 1) % size], letters[(p + 2) % size]
         if abs(abs(x) - abs(y)) != 1:
@@ -583,11 +582,6 @@ def _relation_moves(n: int, letters: tuple[int, ...]):
             new = (-_sign(x) * abs(y), _sign(y) * abs(x), _sign(x) * abs(y))
         else:
             continue
-        gain = ((new[0] == -letters[p - 1]) + (new[2] == -letters[(p + 3) % size])
-                + (abs(x) == n - 1))
-        moves.append((-gain, p, new))
-    moves.sort()
-    for _, p, new in moves:
         yield new + (letters[p:] + letters[:p])[3:]
 
 
@@ -610,7 +604,7 @@ def scan_word(key_word: BraidWord) -> BraidWord:
     while frontier and budget:
         n, letters = heapq.heappop(frontier)[1]
         neighbours = itertools.chain([_cyclic_handle_reduce(letters)],
-                                     _relation_moves(n, letters))
+                                     _relation_moves(letters))
         for word in itertools.islice(neighbours, budget):
             budget -= 1
             key = _closure_key(n, word)

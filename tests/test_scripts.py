@@ -1,5 +1,6 @@
 """Smoke tests: the command-line scripts run to completion."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -39,7 +40,10 @@ def test_resolution_table_runs():
     assert proc.stdout.count("\n") == 2 + 2 * 7
 
 
-def test_scan_timing_runs():
-    proc = run_script("scan_timing.py", "--knots", "5", "--repeats", "1")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("5 knots, seed 1: key ")
+def test_scan_timing_runs(capsys):
+    spec = importlib.util.spec_from_file_location(
+        "scan_timing", ROOT / "scripts" / "scan_timing.py")
+    scan_timing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scan_timing)
+    assert scan_timing.compare(seed=1, knots=5) == 0
+    assert capsys.readouterr().out.startswith("5 knots, seed 1: key ")
