@@ -2,12 +2,13 @@
 
 The homology is computed by Bar-Natan's scanning algorithm (D. Bar-Natan,
 "Fast Khovanov homology computations", J. Knot Theory Ramifications 16,
-2007).  Crossings are added one at a time to a complex over dotted
-cobordisms with h = t = 0; each closed circle is delooped as it appears,
-and every isomorphism is cancelled after each crossing, so the complex
-stays near the size of the homology rather than the 2^c vertices of the
-cube of resolutions.  Gradings are normalised so the unknot has rank one at
-(0, 0) and the graded Euler characteristic reproduces the HOMFLYPT
+2007).  Crossings are added one at a time, in an order chosen by replaying
+the scan's boundary sizes from several start crossings, to a complex over
+dotted cobordisms with h = t = 0; each closed circle is delooped as it
+appears, and every isomorphism is cancelled after each crossing, so the
+complex stays near the size of the homology rather than the 2^c vertices
+of the cube of resolutions.  Gradings are normalised so the unknot has rank
+one at (0, 0) and the graded Euler characteristic reproduces the HOMFLYPT
 specialisation P(q^2, q).
 
 The reduced theory cuts the marked edge open into an arc whose dot acts as
@@ -21,7 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import product
+from math import comb
 from typing import Optional
 
 from .braid import BraidWord, BraidError, EngineInconsistency, PreconditionFailed
@@ -38,18 +41,26 @@ __all__ = [
     "pd_from_text",
     "TooManyCrossings",
     "MAX_OBJECTS",
+    "MAX_SCAN_OBJECTS",
 ]
 
 # Most objects one scanning step of reduced_khovanov may build: the
 # delooped complex right after one crossing is tensored on, before
 # cancellation.  On 3-strand braids a step costs about 2 KiB per object,
 # entries and caches included, so the budget keeps one near 40 MiB;
-# elrifai-k(8), 82 crossings, peaks at 3981 objects.
+# elrifai-k(8), 82 crossings, peaks at 533 objects from its chosen start.
 MAX_OBJECTS = 20_000
+# Most objects a whole scan may build, summed over its steps; it bounds the
+# time, which grows with the crossings even when every step is small.  The
+# largest scans measured fit with room: T(6, 7) builds 18,993 objects and
+# elrifai-k(8) 17,916.  The 2-strand closure of 182 letters 1 builds 49,778
+# in about 2 s; 183 letters are refused.
+MAX_SCAN_OBJECTS = 50_000
 
 
 class TooManyCrossings(PreconditionFailed):
-    """A scanning step would build more than ``MAX_OBJECTS`` objects."""
+    """A scanning step would build more than ``MAX_OBJECTS`` objects, or
+    the scan more than ``MAX_SCAN_OBJECTS`` over its steps."""
 
 
 @dataclass(frozen=True)
@@ -394,12 +405,14 @@ class _Complex:
         self.objects: dict[int, tuple[Matching, int, int]] = {0: ((), 0, 0)}
         self.out: dict[int, dict[int, Morphism]] = {0: {}}  # id -> {target: morphism}
         self.into: dict[int, set[int]] = {0: set()}  # id -> ids with a morphism into it
+        self.built = 0  # objects of every step built so far
 
     def add_crossing(self, ports: tuple[int, ...]) -> None:
         """Tensor with the crossing's complex [r0 -> r1{1}], then deloop.
 
         Raises ``TooManyCrossings`` before building a step that would have
-        more than ``MAX_OBJECTS`` objects.
+        more than ``MAX_OBJECTS`` objects, or take the objects built over
+        all steps past ``MAX_SCAN_OBJECTS``.
         """
         internal = {e for e in ports if e in self.boundary or ports.count(e) == 2}
         boundary = (self.boundary | set(ports)) - internal
@@ -414,6 +427,12 @@ class _Complex:
         if size > MAX_OBJECTS:
             raise TooManyCrossings(
                 f"a scanning step needs {size} objects, over the budget of {MAX_OBJECTS}"
+            )
+        self.built += size
+        if self.built > MAX_SCAN_OBJECTS:
+            raise TooManyCrossings(
+                f"the scan needs {self.built} objects over its steps, over the "
+                f"budget of {MAX_SCAN_OBJECTS}"
             )
         _Step(self, ports, internal, boundary, smooth).build()
 
@@ -596,18 +615,109 @@ def _rank_sparse(columns: dict[int, dict[int, int]]) -> int:
     return len(pivots)
 
 
+# Most start crossings _scan_order replays; a longer diagram tries this many,
+# evenly spaced from crossing 0.
+SCAN_STARTS = 32
+
+
+def _links(pd: PlanarDiagram) -> list[tuple[int, ...]]:
+    """For each crossing, the crossing at the far end of each port's edge;
+    -1 on the marked edge, which the scan cuts into two boundary points."""
+    at: dict[int, list[int]] = {}
+    for k, (ports, _) in enumerate(pd.crossings):
+        for e in ports:
+            at.setdefault(e, []).append(k)
+    # An edge has two ends, so the far one is their sum less the near one.
+    return [tuple(-1 if e == pd.marked_edge else sum(at[e]) - k for e in ports)
+            for k, (ports, _) in enumerate(pd.crossings)]
+
+
+def _order_from(links: list[tuple[int, ...]], start: int,
+                bound: Optional[int] = None):
+    """Replay the greedy scan from crossing ``start`` without building it.
+
+    Next comes the crossing with the most ports on the boundary, the first
+    in cyclic order from ``start`` on ties.  As in the scan, the two cut
+    ends of the marked edge stay on the boundary and join nothing, so start
+    k of a braid closure whose marked edge is strand 1's arc into crossing
+    k scans in the braid order of rotation k.  Each crossing's count of
+    boundary ports only grows, and the crossings sit in one heap of cyclic
+    offsets per count, so a replay costs O(c log c).  Returns ``(cost,
+    order)``, where the cost sums Catalan(|boundary| / 2), the number of
+    crossingless matchings a step's objects can have, over the steps; or
+    None as soon as the cost reaches ``bound``.
+    """
+    c = len(links)
+    count = [0] * c
+    done = [False] * c
+    heaps: list[list[int]] = [[] for _ in range(5)]  # by count; 0 unused
+    order: list[int] = []
+    cost = width = first = 0
+    for _ in range(c):
+        for d in (4, 3, 2, 1):
+            heap = heaps[d]
+            while heap:
+                k = (start + heappop(heap)) % c
+                if count[k] == d and not done[k]:
+                    break
+            else:
+                continue
+            break
+        else:
+            # An empty boundary: take the first crossing not yet scanned.
+            while done[(start + first) % c]:
+                first += 1
+            k = (start + first) % c
+        done[k] = True
+        order.append(k)
+        for j in links[k]:
+            if j == k:
+                continue  # a kink's edge closes at once
+            if j < 0:
+                width += 1
+            elif done[j]:
+                width -= 1
+            else:
+                width += 1
+                count[j] += 1
+                heappush(heaps[count[j]], (j - start) % c)
+        half = width // 2
+        cost += comb(2 * half, half) // (half + 1)
+        if bound is not None and cost >= bound:
+            return None
+    return cost, order
+
+
+def _scan_order(pd: PlanarDiagram) -> list[int]:
+    """The crossing order ``reduced_khovanov`` scans: the cheapest
+    ``_order_from`` replay over every start, or over ``SCAN_STARTS`` evenly
+    spaced starts on a longer diagram, the lowest start on ties."""
+    links = _links(pd)
+    c = len(pd.crossings)
+    starts = (range(c) if c <= SCAN_STARTS
+              else (i * c // SCAN_STARTS for i in range(SCAN_STARTS)))
+    cost, order = None, []
+    for start in starts:
+        found = _order_from(links, start, cost)
+        if found is not None:
+            cost, order = found
+    return order
+
+
 def reduced_khovanov(pd: PlanarDiagram) -> BigradedRanks:
     """Reduced Khovanov homology ranks of the diagram, over the rationals.
 
-    Scans the crossings one at a time, next the one with the most ports on
-    the current boundary (lowest index on ties).  The marked edge is cut
+    Scans the crossings one at a time in the order ``_scan_order``
+    chooses: next the one with the most ports on the current boundary, the
+    first in cyclic order from a start crossing on ties, from the start
+    whose replay predicts the smallest boundaries.  The marked edge is cut
     into two boundary points that never close up; in the end every object
     is that one arc, where a dot acts as zero.  A marked free circle leaves
     the rest of the diagram's unreduced homology, and each other free
     circle multiplies the result by q + q^-1.
 
     Raises ``TooManyCrossings`` before a step would build more than
-    ``MAX_OBJECTS`` objects.
+    ``MAX_OBJECTS`` objects, or the scan more than ``MAX_SCAN_OBJECTS``.
     """
     marked, cut = pd.marked_edge, pd.n_edges
     ends, seen = [], False
@@ -619,10 +729,7 @@ def reduced_khovanov(pd: PlanarDiagram) -> BigradedRanks:
             row.append(e)
         ends.append(tuple(row))
     cx = _Complex(cut + 1)
-    todo = list(range(len(ends)))
-    while todo:
-        k = max(todo, key=lambda k: (sum(e in cx.boundary for e in ends[k]), -k))
-        todo.remove(k)
+    for k in _scan_order(pd):
         cx.add_crossing(ends[k])
         cx.cancel()
 

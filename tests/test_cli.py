@@ -31,6 +31,7 @@ from knotbound.braid import (
     conjugate,
     parse_braid_word,
     permutation_braid_word,
+    scan_word,
     stabilize,
 )
 from knotbound.cache import (
@@ -281,8 +282,9 @@ def test_strand_budget_checked_before_allocation():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_crossing_budget_exit_3(tmp_path, capsys, monkeypatch):
-    # Record the object count of every scanning step that gets built.
+def scanned_steps(monkeypatch):
+    """The diagram the CLI scans for KSTAR_TEXT, its table, and a list that
+    records the object count of every scanning step built from now on."""
     built = []
     build = khovanov._Step.build
 
@@ -291,27 +293,56 @@ def test_crossing_budget_exit_3(tmp_path, capsys, monkeypatch):
         built.append(len(step.cx.objects))
 
     monkeypatch.setattr(khovanov._Step, "build", recording)
-    # The CLI scans a knot from its key word, so the budget is set by the
-    # diagram of that word.
+    # The CLI scans a knot from scan_word of its key word, from the start
+    # reduced_khovanov chooses, so the budgets are set by that diagram.
     key = canonical_closure_key(parse_braid_word(KSTAR_TEXT, 3))
-    pd = khovanov.braid_to_pd(BraidWord(*key))
-    expected = khovanov.reduced_khovanov(pd)
+    pd = khovanov.braid_to_pd(scan_word(BraidWord(*key)))
+    return pd, khovanov.reduced_khovanov(pd), built
+
+
+def refused_steps(tmp_path, capsys, pd, built, message):
+    """Run KSTAR_TEXT and the --pd-file of ``pd``: both must exit 3 with
+    ``message`` before the last step.  Returns the steps each one built."""
+    pd_file = tmp_path / "over.pd"
+    pd_file.write_text(khovanov.pd_to_text(pd))
+    runs = []
+    for argv in (["invariants", KSTAR_TEXT, "--strands", "3", "--khovanov"],
+                 ["invariants", "--pd-file", str(pd_file), "--khovanov"]):
+        built.clear()
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert message in err and "Traceback" not in err
+        assert len(built) < len(pd.crossings)
+        runs.append(list(built))
+    return runs
+
+
+def test_crossing_budget_exit_3(tmp_path, capsys, monkeypatch):
+    pd, expected, built = scanned_steps(monkeypatch)
     peak = max(built)
     # A diagram at the budget proceeds.
     monkeypatch.setattr(khovanov, "MAX_OBJECTS", peak)
     assert khovanov.reduced_khovanov(pd) == expected
     # Over it, both input paths exit 3 before the oversized step is built.
     monkeypatch.setattr(khovanov, "MAX_OBJECTS", peak - 1)
-    pd_file = tmp_path / "over.pd"
-    pd_file.write_text(khovanov.pd_to_text(pd))
-    for argv in (["invariants", KSTAR_TEXT, "--strands", "3", "--khovanov"],
-                 ["invariants", "--pd-file", str(pd_file), "--khovanov"]):
-        built.clear()
-        code, out, err = run(capsys, argv)
-        assert (code, out) == (3, "")
-        assert f"objects, over the budget of {peak - 1}" in err
-        assert built and max(built) < peak
-        assert len(built) < len(pd.crossings)
+    for steps in refused_steps(tmp_path, capsys, pd, built,
+                               f"objects, over the budget of {peak - 1}"):
+        assert steps and max(steps) < peak
+
+
+def test_scan_budget_exit_3(tmp_path, capsys, monkeypatch):
+    pd, expected, built = scanned_steps(monkeypatch)
+    total = sum(built)
+    # A scan that builds exactly the budget proceeds.
+    monkeypatch.setattr(khovanov, "MAX_SCAN_OBJECTS", total)
+    assert khovanov.reduced_khovanov(pd) == expected
+    # One object less, and both input paths exit 3 before the last step is
+    # built, though every step is under MAX_OBJECTS.
+    monkeypatch.setattr(khovanov, "MAX_SCAN_OBJECTS", total - 1)
+    assert max(built) < khovanov.MAX_OBJECTS
+    for steps in refused_steps(tmp_path, capsys, pd, built,
+                               f"objects over its steps, over the budget of {total - 1}"):
+        assert steps and sum(steps) < total
 
 
 def closed_to(w, components):

@@ -2,7 +2,9 @@ import copy
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import comb
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -18,9 +20,14 @@ from knotbound.braid import (
     stabilize,
 )
 from knotbound.homfly import homfly
+from knotbound import khovanov
 from knotbound.khovanov import (
+    SCAN_STARTS,
     BigradedRanks,
+    _links,
+    _order_from,
     _rank_sparse,
+    _scan_order,
     braid_to_pd,
     pd_from_text,
     pd_to_text,
@@ -181,6 +188,101 @@ def scrambled_diagrams(draw):
 def test_scanner_matches_cube_oracle(pd):
     assert reduced_khovanov(pd) == cube_khovanov(pd)
 
+
+
+# --- the scan's start -----------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(scrambled_diagrams())
+def test_every_start_gives_the_same_table(pd):
+    expected = reduced_khovanov(pd)
+    for k in range(len(pd.crossings)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(khovanov, "_scan_order",
+                       lambda pd, k=k: _order_from(_links(pd), k)[1])
+            assert reduced_khovanov(pd) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(scrambled_diagrams())
+def test_chosen_order_is_the_cheapest_start(pd):
+    links, c = _links(pd), len(pd.crossings)
+    order = _scan_order(pd)
+    assert sorted(order) == list(range(c))
+    if not c:
+        return
+    # The order is the replay from its first crossing, at no more cost than
+    # from crossing 0, and on a short diagram the cheapest start, the lowest
+    # on ties.
+    costs = [_order_from(links, k)[0] for k in range(c)]
+    assert _order_from(links, order[0]) == (costs[order[0]], order)
+    assert costs[order[0]] <= costs[0]
+    assert costs.index(min(costs)) == order[0]
+    # A replay stops once its cost reaches the bound.
+    for k, cost in enumerate(costs):
+        assert _order_from(links, k, cost) is None
+        assert _order_from(links, k, cost + 1) == (cost, _order_from(links, k)[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(scrambled_diagrams())
+def test_replay_cost_is_the_scanned_boundaries(pd):
+    # The dry run sees the boundaries the scan builds, cut marked edge included.
+    sizes = []
+    build = khovanov._Step.build
+
+    def recording(step):
+        build(step)
+        sizes.append(len(step.boundary))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(khovanov._Step, "build", recording)
+        reduced_khovanov(pd)
+    order = _scan_order(pd)
+    cost = _order_from(_links(pd), order[0])[0] if order else 0
+    assert cost == sum(comb(b, b // 2) // (b // 2 + 1) for b in sizes)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 7, 12])
+def test_torus2_start_k_scans_rotation_k(q):
+    # With the marked edge on strand 1's arc into crossing k, which is where
+    # braid_to_pd of the rotation puts it, start k scans in braid order.
+    pd = braid_to_pd(BraidWord(2, (1,) * q))
+    for k, (ports, _) in enumerate(pd.crossings):
+        moved = replace(pd, marked_edge=ports[3])
+        rotation = list(range(k, q)) + list(range(k))
+        assert _order_from(_links(moved), k)[1] == rotation
+
+
+@settings(max_examples=100, deadline=None)
+@given(braid_words(max_letters=12))
+@example(BraidWord(3, (1, 2) * 4))
+def test_start_k_scans_like_rotation_k(w):
+    # Crossing i of the rotation's diagram is crossing i + k of the word's,
+    # port for port; with the marked edge on the same arc, the replay from
+    # start k is the rotation's replay from start 0, ties included.
+    n, pd = len(w), braid_to_pd(w)
+    for k in range(n):
+        rotated = braid_to_pd(w.with_letters(w.letters[k:] + w.letters[:k]))
+        marked = [pd.crossings[(i + k) % n][0][p]
+                  for i, (ports, _) in enumerate(rotated.crossings)
+                  for p, e in enumerate(ports) if e == rotated.marked_edge]
+        moved = replace(pd, marked_edge=marked[0] if marked else pd.marked_edge)
+        assert _order_from(_links(moved), k)[1] == [
+            (i + k) % n for i in _order_from(_links(rotated), 0)[1]]
+
+
+def test_long_diagrams_replay_a_capped_number_of_starts(monkeypatch):
+    starts = []
+
+    def counting(links, start, bound=None):
+        starts.append(start)
+        return _order_from(links, start, bound)
+
+    monkeypatch.setattr(khovanov, "_order_from", counting)
+    pd = braid_to_pd(BraidWord(2, (1,) * (3 * SCAN_STARTS + 1)))
+    assert sorted(_scan_order(pd)) == list(range(3 * SCAN_STARTS + 1))
+    assert len(starts) == SCAN_STARTS and starts[0] == 0
 
 @settings(max_examples=100, deadline=None)
 @given(braid_words(max_letters=7), st.data())
