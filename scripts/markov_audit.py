@@ -32,7 +32,7 @@ from knotbound.braid import (
 from knotbound.cli import main as cli_main
 from knotbound.homfly import homfly
 from knotbound.khovanov import braid_to_pd, reduced_khovanov
-from knotbound.seifert import determinant, signature
+from knotbound.seifert import seifert
 
 
 def sample_word(rng: random.Random, strands: int, max_len: int) -> BraidWord:
@@ -48,8 +48,7 @@ def invariants(w: BraidWord):
     pd = braid_to_pd(w)
     return (
         homfly(w),
-        signature(w),
-        determinant(w),
+        seifert(w),
         sorted(reduced_khovanov(replace(pd, marked_edge=e)).ranks
                for e in pd.component_edges()),
     )

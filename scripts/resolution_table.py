@@ -12,15 +12,14 @@ from knotbound.bounds import InconsistentThinness, thin_reconstruct
 from knotbound.homfly import homfly
 from knotbound.khovanov import braid_to_pd, reduced_khovanov
 from knotbound.laurent import to_aq
-from knotbound.seifert import determinant, signature
+from knotbound.seifert import seifert
 
 
-def thinness_verdict(label: str) -> str:
+def thinness_verdict(label: str, sigma: int) -> str:
     w = resolution_word(label)
     aq = to_aq(homfly(w))
     if aq.clearing != 0:
         return "link (not classified)"
-    sigma = signature(w)
     try:
         table = thin_reconstruct(aq, sigma)
     except InconsistentThinness:
@@ -41,9 +40,10 @@ def main() -> None:
     print("-" * len(header))
     for label in args.labels:
         w = resolution_word(label)
+        sigma, det = seifert(w)
         print(
             f"{label:6} {closure_components(w):5} {writhe(w):6} "
-            f"{signature(w):4} {determinant(w):4}  {thinness_verdict(label)}"
+            f"{sigma:4} {det:4}  {thinness_verdict(label, sigma)}"
         )
         print(f"       P = {to_aq(homfly(w)).render()}")
 

@@ -35,7 +35,7 @@ from .khovanov import (
     reduced_khovanov,
 )
 from .laurent import AQPolynomial, to_aq
-from .seifert import check_surface, determinant, signature
+from .seifert import check_surface, seifert
 from .verify import run_claims
 
 USAGE_ERROR = 2
@@ -60,17 +60,20 @@ def _emit(payload: dict, as_json: bool) -> None:
         print(f"{key}: {value}")
 
 
-def _compute(name: str, w: BraidWord, rep: BraidWord, knot: bool):
-    """One invariant of the closure of ``w``, in its cache-record form;
-    ``rep`` is the closure key's word (see ``_invariant_payload``)."""
+def _compute(name: str, w: BraidWord, rep: BraidWord, knot: bool) -> dict:
+    """Record fields for the invariant ``name`` of the closure of ``w``;
+    ``rep`` is the closure key's word (see ``_invariant_payload``).  The
+    signature and the determinant come from one elimination, so asking for
+    either gives both."""
     if name == "homfly":
         aq = to_aq(homfly(rep))
-        return {"terms": aq.triples(), "clearing": aq.clearing}
+        return {"homfly": {"terms": aq.triples(), "clearing": aq.clearing}}
     if name == "khovanov":
         scanned = (braid.scan_word(rep) if knot
                    else w.with_letters(braid.reduce_handles(w.letters)))
-        return reduced_khovanov(braid_to_pd(scanned)).triples()
-    return signature(w) if name == "signature" else determinant(w)
+        return {"khovanov": reduced_khovanov(braid_to_pd(scanned)).triples()}
+    sigma, det = seifert(w)
+    return {"signature": sigma, "determinant": det}
 
 
 def _invariant_payload(w: BraidWord, wanted: tuple[str, ...], cache: ResultCache) -> dict:
@@ -110,7 +113,10 @@ def _invariant_payload(w: BraidWord, wanted: tuple[str, ...], cache: ResultCache
         components=braid.closure_components(w),
     )
     knot = record.components == 1
-    missing = {n: _compute(n, w, rep, knot) for n in wanted if getattr(record, n) is None}
+    missing: dict = {}
+    for name in wanted:
+        if getattr(record, name) is None and name not in missing:
+            missing.update(_compute(name, w, rep, knot))
     if missing:
         record = replace(record, **missing)
         cache.store(record)

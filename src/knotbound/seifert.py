@@ -28,13 +28,20 @@ sigma_1^3 come out at +2: the negative of the raw symmetrised form, with
 each zero eigenvalue of a degenerate (link) form counting +1 before the
 global negation.  That one-sided convention agrees with the plain sign
 count on every nondegenerate form.  Signature and determinant come from
-one exact fraction-free (Bareiss) elimination of V + V^T, whose pivots are
-leading principal minors (Bareiss, Math. Comp. 22, 1968).
+one exact elimination of V + V^T (``seifert``), held as sparse rows: each
+loop meets at most its two neighbours on its generator and two loops on
+each adjacent one, so pivots taken in minimum-degree order, with 2x2
+blocks on a zero diagonal, touch few entries, and the integer arithmetic
+divides only where Sylvester's identity makes the division exact
+(``_ldl``).  The dense matrix, ``seifert_matrix``, is built from the same
+list of entries for the Conway-identity checks.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .braid import BraidWord, EngineInconsistency, PreconditionFailed, closure_components
 from .homfly import homfly
@@ -48,6 +55,7 @@ __all__ = [
     "MAX_LOOPS",
     "check_surface",
     "seifert_matrix",
+    "seifert",
     "signature",
     "determinant",
     "alexander",
@@ -62,10 +70,14 @@ class NotAKnot(PreconditionFailed):
     """Operation defined for one-component closures only."""
 
 
-# Most basis loops (matrix rows) a Seifert matrix may have.  Signature and
-# determinant are cubic in the rows; at this bound one of them takes
-# 0.4-0.7 s of CPU on a 2-core x86 VM, matrix included.
-MAX_LOOPS = 256
+# Most basis loops (matrix rows) a Seifert matrix may have, a count read
+# from the word alone.  On a 2-core x86 VM, ``seifert`` at this bound takes
+# 0.01-0.07 s of CPU on random words and staircases, and 0.19-0.35 s on the
+# slowest shapes of scripts/seifert_timing.py, staircases of alternating-
+# sign rounds, whose form has a zero diagonal; at 2048 rows those took
+# 0.8-2.2 s.  So this is the largest power of two at which every shape
+# stays under the 0.41-0.72 s a dense elimination takes at 256 rows.
+MAX_LOOPS = 1024
 
 
 class TooManyLoops(PreconditionFailed):
@@ -81,11 +93,6 @@ class SeifertData:
     @property
     def size(self) -> int:
         return len(self.matrix)
-
-    def symmetrized(self) -> list[list[int]]:
-        m = self.size
-        v = self.matrix
-        return [[v[i][j] + v[j][i] for j in range(m)] for i in range(m)]
 
 
 def check_surface(w: BraidWord) -> None:
@@ -109,104 +116,196 @@ def check_surface(w: BraidWord) -> None:
         )
 
 
-def seifert_matrix(w: BraidWord) -> SeifertData:
-    """Seifert matrix of the disk-and-band surface of the closure of w."""
+def _entries(w: BraidWord) -> tuple[int, list[tuple[int, int, int]]]:
+    """Row count and nonzero entries ``(i, j, V[i][j])`` of the Seifert matrix
+    of the closure of w.
+
+    A loop on generator g runs between consecutive bands p < q of g.
+    Beside its diagonal entry it meets the next loop on g, which shares band
+    q, and the loops (a, b) on g + 1 that interleave with it: p < a < q < b
+    holds only for a the last band of g + 1 inside (p, q), and a < p < b < q
+    only for b the first.  So each loop has at most two partners on each
+    adjacent generator, and bisection finds them all in O(m log m) for m
+    loops.
+    """
     check_surface(w)
     n, letters = w.strands, w.letters
-    # Loops: consecutive occurrences of each generator, left to right.
-    loops: list[tuple[int, int, int, int, int]] = []  # (gen, p, q, sign_p, sign_q)
+    positions = [[] for _ in range(n + 1)]
+    for k, e in enumerate(letters):
+        positions[abs(e)].append(k)
+    # Loop t on generator g spans positions[g][t], positions[g][t + 1].
+    first = [0] * (n + 1)
     for g in range(1, n):
-        positions = [k for k, e in enumerate(letters) if abs(e) == g]
-        for p, q in zip(positions, positions[1:]):
+        first[g + 1] = first[g] + len(positions[g]) - 1
+    entries: list[tuple[int, int, int]] = []
+    for g in range(1, n):
+        here, above = positions[g], positions[g + 1]
+        for t, (p, q) in enumerate(zip(here, here[1:])):
+            i = first[g] + t
             sp = 1 if letters[p] > 0 else -1
             sq = 1 if letters[q] > 0 else -1
-            loops.append((g, p, q, sp, sq))
+            if sp == sq:
+                entries.append((i, i, -sp))
+            if t + 2 < len(here):  # the next loop on g shares band q
+                entries.append((i, i + 1, 1) if sq > 0 else (i + 1, i, -1))
+            inside = bisect_right(above, p)
+            after = bisect_left(above, q)
+            if inside < after:
+                if after < len(above):  # p < a < q < b
+                    entries.append((i, first[g + 1] + after - 1, -1))
+                if inside > 0:  # a < p < b < q
+                    entries.append((i, first[g + 1] + inside - 1, 1))
+    return first[n], entries
 
-    m = len(loops)
+
+def seifert_matrix(w: BraidWord) -> SeifertData:
+    """Seifert matrix of the disk-and-band surface of the closure of w."""
+    m, entries = _entries(w)
     v = [[0] * m for _ in range(m)]
-    for idx, (g, p, q, sp, sq) in enumerate(loops):
-        v[idx][idx] = -(sp + sq) // 2
-    for i in range(m):
-        gi, pi, qi, _, sqi = loops[i]
-        for j in range(i + 1, m):
-            gj, pj, qj, spj, _ = loops[j]
-            if gj == gi:
-                if pj == qi:  # consecutive loops sharing the middle band
-                    e = sqi
-                    v[i][j] = (e + 1) // 2
-                    v[j][i] = (e - 1) // 2
-            elif abs(gj - gi) == 1:
-                lo, hi = (i, j) if gi < gj else (j, i)
-                _, p, q, _, _ = loops[lo]
-                _, a, b, _, _ = loops[hi]
-                if p < a < q < b:
-                    v[lo][hi] = -1
-                elif a < p < b < q:
-                    v[lo][hi] = 1
+    for i, j, x in entries:
+        v[i][j] = x
     return SeifertData(tuple(tuple(row) for row in v))
 
 
-def _eliminate(rows: list[list[int]]) -> tuple[int, int, int, int]:
-    """(positive, negative, zero) eigenvalue counts and the determinant of a
-    symmetric integer matrix, by one fraction-free Bareiss pass.
+def _exact(num: int, den: int) -> int:
+    """num / den, which Sylvester's identity makes an integer."""
+    q, r = divmod(num, den)
+    if r:
+        raise EngineInconsistency(f"{num} / {den} leaves a remainder in an exact elimination")
+    return q
 
-    A zero diagonal entry is first swapped with a later nonzero one, or, when
-    the remaining diagonal is all zero, a hyperbolic block is absorbed by
-    adding a row and its column; both are congruences of determinant +-1 and
-    act on the bordered minors as on the matrix, so the pivots stay the
-    leading principal minors D_1, D_2, ... .  The eigenvalue sign at a pivot
-    is that of D_k / D_{k-1} (Jacobi; Sylvester's law of inertia).  A zero
-    row gives a zero eigenvalue and determinant 0, and is skipped.
+
+def _current(entry: tuple[int, int], scale: list[int]) -> int:
+    """Entry ``(x, e)`` of ``_ldl`` as a multiple of the latest D, ``scale[-1]``."""
+    x, e = entry
+    return x if e == len(scale) - 1 else _exact(x * scale[-1], scale[e])
+
+
+def _ldl(rows: list[dict[int, int]]) -> tuple[int, int, int, int]:
+    """(positive, negative, zero) eigenvalue counts and the determinant of
+    the symmetric integer matrix whose row i holds the entries ``rows[i]``
+    (column -> value), by one exact block LDL^T elimination.
+
+    The pivot is always a row of least degree (off-diagonal nonzeros) in
+    what is left, taken from a heap whose stale entries are skipped
+    (minimum degree: Markowitz, Management Sci. 3, 1957).  On a nonzero
+    diagonal it is a 1x1 pivot.  On a zero diagonal it forms a 2x2 block
+    [[0, b], [b, d]] with its neighbour of least degree, as Bunch and
+    Kaufman do (Math. Comp. 31, 1977); the block's determinant -b^2 is
+    negative, so it holds one eigenvalue of each sign.  A row with nothing
+    left is a zero eigenvalue and makes the determinant 0.  Each pivot
+    updates only the entries among its neighbours, so what is left stays
+    sparse, and the counts are the pivots' signs (Sylvester's law of
+    inertia).
+
+    The arithmetic stays in integers, as in Bareiss's fraction-free pass
+    (Math. Comp. 22, 1968).  Let D be the determinant of the pivots taken so
+    far, 1 before the first; ``scale[e]`` is D after e pivots.  An entry is
+    held as (x, e), e the number of pivots taken when it was last updated:
+    its value in what is left is x / scale[e].  By Sylvester's determinant
+    identity, D times an entry of what is left is a minor of the matrix, an
+    integer.  So bringing an entry to the current D and each update divide
+    exactly (``_exact`` checks), an entry no pivot touches is never
+    rescaled, and the last D is the determinant.
     """
-    a = [list(row) for row in rows]
-    m = len(a)
+    m = len(rows)
+    off = [{j: (x, 0) for j, x in row.items() if x and j != i} for i, row in enumerate(rows)]
+    diag = [(row.get(i, 0), 0) for i, row in enumerate(rows)]
+    scale = [1]  # D at each epoch
+    heap = [(len(row), i) for i, row in enumerate(off)]
+    heapify(heap)
+    done = [False] * m
     pos = neg = zero = 0
-    prev = 1
-    for k in range(m):
-        if a[k][k] == 0:
-            swap = next((r for r in range(k + 1, m) if a[r][r] != 0), None)
-            if swap is not None:
-                a[k], a[swap] = a[swap], a[k]
-                for row in a:
-                    row[k], row[swap] = row[swap], row[k]
+    while heap:
+        degree, k = heappop(heap)
+        if done[k] or degree != len(off[k]):
+            continue
+        t, prev = len(scale) - 1, scale[-1]
+        p, row = _current(diag[k], scale), off[k]
+        if not (p or row):
+            done[k] = True
+            zero += 1
+            continue
+        xs = {u: _current(entry, scale) for u, entry in row.items()}
+        if p:
+            block = (k,)
+            if (p > 0) == (prev > 0):
+                pos += 1
             else:
-                other = next((c for c in range(k + 1, m) if a[k][c] != 0), None)
-                if other is None:
-                    zero += 1
-                    continue
-                for c in range(k, m):
-                    a[k][c] += a[other][c]
-                for r in range(k, m):
-                    a[r][k] += a[r][other]
-        pivot, top = a[k][k], a[k][k + 1:]
-        if (pivot > 0) == (prev > 0):
-            pos += 1
+                neg += 1
+            det = p
+            cols = [(u, x, 0) for u, x in xs.items()]
+            b, d, num, den = 0, 1, p, prev
         else:
+            j = min(row, key=lambda u: (len(off[u]), u))
+            block = (k, j)
+            b, d = xs[j], _current(diag[j], scale)
+            pos += 1
             neg += 1
-        # Bareiss: the division by the previous pivot is exact.
-        for row in a[k + 1:]:
-            lead = row[k]
-            row[k + 1:] = [(pivot * x - lead * t) // prev for x, t in zip(row[k + 1:], top)]
-        prev = pivot
-    return pos, neg, zero, 0 if zero else prev
+            det = _exact(-b * b, prev)
+            ys = {u: _current(entry, scale) for u, entry in off[j].items()}
+            cols = [(u, xs.get(u, 0), ys.get(u, 0))
+                    for u in xs.keys() | ys.keys() if u != k and u != j]
+            num, den = prev * det, prev * prev
+        for u in block:
+            done[u] = True
+        for u, _, _ in cols:
+            for v in block:
+                off[u].pop(v, None)
+        # Entries are held times D = prev, and next times D' = det.  An entry
+        # (u, v) among the pivot's neighbours, coupled to the pivot by x_u and
+        # x_v (to a block by (x_u, y_u) and (x_v, y_v)), becomes D' times its
+        # Schur complement entry S[u][v] - c_u B^-1 c_v^T:
+        #   (p S[u][v] - x_u x_v) / D for a 1x1 pivot p, and
+        #   (D D' S[u][v] - (d x_u x_v - b (x_u y_v + y_u x_v))) / D^2 for a
+        #   block B = [[0, b], [b, d]], whose inverse is [[-d, b], [b, 0]] / b^2.
+        # The first is the second's formula with b = 0, d = 1 and num / den
+        # = p / D in place of D D' / D^2.
+        for s, (u, x, y) in enumerate(cols):
+            old = _current(diag[u], scale)
+            diag[u] = (_exact(num * old - (d * x * x - 2 * b * x * y), den), t + 1)
+            ru = off[u]
+            for v, xv, yv in cols[s + 1:]:
+                old, e = ru.get(v, (0, t))
+                if e != t:
+                    old = _exact(old * prev, scale[e])
+                value = _exact(num * old - (d * x * xv - b * (x * yv + y * xv)), den)
+                if value:
+                    ru[v] = off[v][u] = (value, t + 1)
+                elif v in ru:
+                    del ru[v], off[v][u]
+        scale.append(det)
+        for u, _, _ in cols:
+            heappush(heap, (len(off[u]), u))
+    return pos, neg, zero, 0 if zero else scale[-1]
+
+
+def seifert(w: BraidWord) -> tuple[int, int]:
+    """(signature, determinant) of the closure, from one elimination of
+    the symmetrised form V + V^T held as sparse rows.
+
+    The signature is calibrated so sigma_1^3 closes to +2: the negative of
+    the raw signature of V + V^T, where on degenerate link forms each zero
+    eigenvalue counts +1 before the negation, extending the knot convention
+    one-sidedly.  The determinant is |det(V + V^T)|.
+    """
+    m, entries = _entries(w)
+    rows: list[dict[int, int]] = [{} for _ in range(m)]
+    for i, j, x in entries:
+        rows[i][j] = rows[i].get(j, 0) + x
+        rows[j][i] = rows[j].get(i, 0) + x
+    pos, neg, zero, det = _ldl(rows)
+    return -((pos - neg) + zero), abs(det)
 
 
 def signature(w: BraidWord) -> int:
-    """Signature of the closure, calibrated so sigma_1^3 closes to +2.
-
-    Negative of the raw signature of V + V^T; on degenerate link forms each
-    zero eigenvalue counts +1 before the negation, extending the knot
-    convention one-sidedly.
-    """
-    data = seifert_matrix(w)
-    pos, neg, zero, _ = _eliminate(data.symmetrized())
-    return -((pos - neg) + zero)
+    """Signature of the closure; see ``seifert``."""
+    return seifert(w)[0]
 
 
 def determinant(w: BraidWord) -> int:
-    """|det(V + V^T)| of the closure."""
-    data = seifert_matrix(w)
-    return abs(_eliminate(data.symmetrized())[3])
+    """|det(V + V^T)| of the closure; see ``seifert``."""
+    return seifert(w)[1]
 
 
 def alexander(w: BraidWord) -> LaurentPoly1:

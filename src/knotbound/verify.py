@@ -42,7 +42,7 @@ from .khovanov import (
     reduced_khovanov,
 )
 from .laurent import AQPolynomial, LaurentPoly1, LaurentPoly2, a_degree_range, to_aq
-from .seifert import determinant, signature
+from .seifert import seifert
 
 __all__ = ["Claim", "run_claims", "SECTIONS", "euler_matches"]
 
@@ -111,6 +111,12 @@ SIGMA_DET_TABLE = {
 
 def _res(label: str) -> BraidWord:
     return braid.resolution_word(label)
+
+
+@functools.cache
+def _res_seifert(label: str) -> tuple[int, int]:
+    """(signature, determinant) of a resolution closure, shared by section 2."""
+    return seifert(_res(label))
 
 
 @functools.cache
@@ -284,26 +290,25 @@ def _c_homfly_double():
 
 
 def _c_sigma_table():
-    got = {label: signature(_res(label)) for label in SIGMA_DET_TABLE}
+    got = {label: _res_seifert(label)[0] for label in SIGMA_DET_TABLE}
     want = {label: sd[0] for label, sd in SIGMA_DET_TABLE.items()}
     return got == want, f"signatures {got}"
 
 
 def _c_det_table():
-    got = {label: determinant(_res(label)) for label in SIGMA_DET_TABLE}
+    got = {label: _res_seifert(label)[1] for label in SIGMA_DET_TABLE}
     want = {label: sd[1] for label, sd in SIGMA_DET_TABLE.items()}
     return got == want, f"determinants {got}"
 
 
 def _c_det_identity():
-    lhs = determinant(_res("0--")) + 2 * determinant(_res("0-0"))
-    rhs = determinant(_res("0-"))
-    lhs2 = determinant(_res("-")) + 2 * determinant(_res("0"))
-    rhs2 = determinant(_res("+"))
+    det = {label: _res_seifert(label)[1] for label in SIGMA_DET_TABLE}
+    lhs = det["0--"] + 2 * det["0-0"]
+    lhs2 = det["-"] + 2 * det["0"]
     return (
-        lhs == rhs == 14 and lhs2 == rhs2 == 7,
-        f"{determinant(_res('0--'))} + 2*{determinant(_res('0-0'))} = {rhs}; "
-        f"{determinant(_res('-'))} + 2*{determinant(_res('0'))} = {rhs2}",
+        lhs == det["0-"] == 14 and lhs2 == det["+"] == 7,
+        f"{det['0--']} + 2*{det['0-0']} = {det['0-']}; "
+        f"{det['-']} + 2*{det['0']} = {det['+']}",
     )
 
 

@@ -186,6 +186,43 @@ def test_verify_section_two_computes_main_khovanov_once(monkeypatch):
     assert sum(calls) == 1
 
 
+def counted_eliminations(monkeypatch) -> list:
+    """Patch ``seifert._ldl`` to record the size of each form it eliminates."""
+    from knotbound import seifert
+
+    calls, real = [], seifert._ldl
+
+    def counting(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(seifert, "_ldl", counting)
+    return calls
+
+
+def test_verify_section_two_eliminates_each_resolution_once(monkeypatch):
+    import knotbound.verify as verify
+
+    calls = counted_eliminations(monkeypatch)
+    verify._res_seifert.cache_clear()
+    results = verify.run_claims("2")
+    assert all(r["passed"] for r in results)
+    assert len(calls) == len(verify.SIGMA_DET_TABLE)
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", KSTAR_TEXT, "--strands", "3", "--seifert"],
+    ["invariants", "1 1 1", "--strands", "2", "--all"],
+    ["family", "torus2", "--q", "5", "--emit", "invariants"],
+], ids=["seifert", "all", "family"])
+def test_seifert_fields_come_from_one_elimination(capsys, monkeypatch, argv):
+    monkeypatch.delenv("KNOTBOUND_CACHE", raising=False)
+    calls = counted_eliminations(monkeypatch)
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and "signature" in out and "determinant" in out
+    assert len(calls) == 1
+
+
 def test_verify_failing_claim_exits_one(capsys, monkeypatch):
     import knotbound.verify as verify
 
@@ -454,11 +491,11 @@ def test_homfly_width_budget_exit_3(capsys):
 
 
 def test_seifert_loop_budget_exit_3(capsys):
-    # 258 letters on 2 strands: 257 Seifert loops, one over MAX_LOOPS.
-    word = " ".join(["1"] * 258)
+    # 1026 letters on 2 strands: 1025 Seifert loops, one over MAX_LOOPS.
+    word = " ".join(["1"] * 1026)
     code, out, err = run(capsys, ["invariants", word, "--strands", "2", "--seifert"])
     assert (code, out) == (3, "")
-    assert "needs 257 rows, over the budget of 256" in err
+    assert "needs 1025 rows, over the budget of 1024" in err
     assert run(capsys, ["invariants", word, "--strands", "2", "--homfly"])[0] == 0
 
 
@@ -467,18 +504,18 @@ def test_seifert_budget_refuses_before_khovanov(capsys, monkeypatch):
         raise RuntimeError("the Seifert budget must refuse before the Khovanov scan")
 
     monkeypatch.setattr("knotbound.cli.reduced_khovanov", refuse)
-    code, out, err = run(capsys, ["family", "torus2", "--q", "400", "--emit", "invariants"])
+    code, out, err = run(capsys, ["family", "torus2", "--q", "1026", "--emit", "invariants"])
     assert (code, out) == (3, "")
-    assert err == ("precondition failed: the Seifert matrix needs 399 rows, "
-                   "over the budget of 256\n")
+    assert err == ("precondition failed: the Seifert matrix needs 1025 rows, "
+                   "over the budget of 1024\n")
 
 
 # Each pair shares a closure key; the second word is refused uncached.  The
-# loop budget's query has 301 letters on 3 strands, so 299 rows.
+# loop budget's query has 1201 letters on 3 strands, so 1199 rows.
 @pytest.mark.parametrize("stored, query, strands", [
     ("1 2 3 -2", "1 3", "4"),
     ("2 1 -2", "1", "3"),
-    (" ".join(["1"] * 101 + ["2", "-2"]), " ".join(["1 2 -2"] * 100 + ["1"]), "3"),
+    (" ".join(["1"] * 401 + ["2", "-2"]), " ".join(["1 2 -2"] * 400 + ["1"]), "3"),
 ], ids=["absent-generator", "absent-generator-conjugate", "loop-budget"])
 def test_cache_never_lifts_a_seifert_refusal(tmp_path, capsys, stored, query, strands):
     def argv(word, *extra):
@@ -807,7 +844,7 @@ def _refuse_engines(monkeypatch):
     def refuse(w):
         raise RuntimeError("a Markov-equivalent query must be served from the cache")
 
-    for name in ("homfly", "signature", "determinant"):
+    for name in ("homfly", "seifert"):
         monkeypatch.setattr(f"knotbound.cli.{name}", refuse)
 
 

@@ -40,10 +40,23 @@ def test_resolution_table_runs():
     assert proc.stdout.count("\n") == 2 + 2 * 7
 
 
+def load_script(name):
+    """Import ``scripts/<name>.py`` as a module, without running its main."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_scan_timing_runs(capsys):
-    spec = importlib.util.spec_from_file_location(
-        "scan_timing", ROOT / "scripts" / "scan_timing.py")
-    scan_timing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(scan_timing)
+    scan_timing = load_script("scan_timing")
     assert scan_timing.compare(seed=1, knots=5) == 0
     assert capsys.readouterr().out.startswith("5 knots, seed 1: key ")
+
+
+def test_seifert_timing_runs(capsys):
+    seifert_timing = load_script("seifert_timing")
+    name, seconds = seifert_timing.report(seed=1, rows=256)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(seifert_timing.shapes(1, 256)) + 1
+    assert lines[-1] == f"slowest at 256 rows, seed 1: {name}, {seconds:.4f} s"

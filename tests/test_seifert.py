@@ -20,8 +20,9 @@ from knotbound.laurent import LaurentPoly2
 from knotbound.seifert import (
     DisconnectedSurface,
     NotAKnot,
+    MAX_LOOPS,
     TooManyLoops,
-    _eliminate,
+    _ldl,
     alexander,
     determinant,
     seifert_matrix,
@@ -35,8 +36,7 @@ def test_trefoil_matrix_from_hand_built_surface():
     # through consecutive band pairs give the standard genus-one matrix.
     data = seifert_matrix(BraidWord(2, (1, 1, 1)))
     assert data.matrix == ((-1, 1), (0, -1))
-    sym = data.symmetrized()
-    assert sym == [[-2, 1], [1, -2]]
+    assert _form(data.matrix) == [[-2, 1], [1, -2]]
     assert determinant(BraidWord(2, (1, 1, 1))) == 3
 
 
@@ -161,13 +161,13 @@ def test_alexander_guard_raises_on_non_alexander_homfly(monkeypatch, p):
         alexander(BraidWord(2, (1, 1, 1)))
 
 
-def test_loop_budget_boundary(monkeypatch):
-    trefoil = BraidWord(2, (1, 1, 1))
-    monkeypatch.setattr(seifert, "MAX_LOOPS", 2)
-    assert seifert_matrix(trefoil).size == 2
-    monkeypatch.setattr(seifert, "MAX_LOOPS", 1)
-    with pytest.raises(TooManyLoops, match="needs 2 rows, over the budget of 1"):
-        signature(trefoil)
+def test_loop_budget_boundary():
+    # T(2, q) has q - 1 loops, signature q - 1 and determinant q.
+    q = MAX_LOOPS + 1
+    assert seifert_matrix(BraidWord(2, (1,) * q)).size == MAX_LOOPS
+    assert seifert.seifert(BraidWord(2, (1,) * q)) == (q - 1, q)
+    with pytest.raises(TooManyLoops, match=f"needs {q} rows, over the budget of {MAX_LOOPS}"):
+        signature(BraidWord(2, (1,) * (q + 1)))
 
 
 @st.composite
@@ -180,6 +180,11 @@ def connected_words(draw, max_len=14):
         sign = draw(st.sampled_from([1, -1]))
         letters.insert(draw(st.integers(0, len(letters))), sign * g)
     return BraidWord(n, tuple(letters))
+
+
+def _form(v):
+    """V + V^T as a list of rows."""
+    return [[v[i][j] + v[j][i] for j in range(len(v))] for i in range(len(v))]
 
 
 def _det(rows):
@@ -262,8 +267,27 @@ def symmetric_matrices(draw):
     return a
 
 
+@st.composite
+def sparse_symmetric_matrices(draw):
+    """Symmetric matrices of size 10-24 with up to three drawn entries per
+    row in {+-1, 2, -3}, built from a drawn seed; the diagonal is zero on
+    every row, or on about half of them."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    m = rng.randint(10, 24)
+    some_diagonal = rng.random() < 0.5
+    a = [[0] * m for _ in range(m)]
+    for i in range(m):
+        if some_diagonal and rng.random() < 0.5:
+            a[i][i] = rng.choice([1, -1, 2, -2, -3])
+        for _ in range(rng.randint(0, 3)):
+            j = rng.randrange(m)
+            if j != i:
+                a[i][j] = a[j][i] = rng.choice([1, -1, 2, -3])
+    return a
+
+
 @settings(max_examples=300, deadline=None)
-@given(symmetric_matrices())
+@given(symmetric_matrices() | sparse_symmetric_matrices())
 @example([[0, 1], [1, 0]])
 @example([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
 @example([[0] * 3] * 3)
@@ -271,7 +295,88 @@ def symmetric_matrices(draw):
 @example([[0, 1, 2, -1], [1, 0, 1, 1], [2, 1, 0, -3], [-1, 1, -3, 0]])
 @example([])
 def test_integer_inertia_matches_rational(rows):
-    # One Bareiss pass gives both the inertia over Q and the determinant.
-    pos, neg, zero, det = _eliminate(rows)
+    # One exact elimination of the sparse rows gives both the inertia over Q
+    # and the determinant.
+    pos, neg, zero, det = _ldl([{j: x for j, x in enumerate(row) if x} for row in rows])
     assert (pos, neg, zero) == _inertia_over_q(rows)
     assert det == _det(rows)
+
+
+def test_inexact_division_raises():
+    # Sylvester's identity makes every division of the elimination exact;
+    # a remainder is an engine fault, raised as a typed exception.
+    with pytest.raises(EngineInconsistency):
+        seifert._exact(3, 2)
+
+
+def staircase(strands, rounds, alternating=False):
+    """(1 2 ... n-1)^rounds, every other round negated if ``alternating``."""
+    return BraidWord(strands, tuple(-g if alternating and r % 2 else g
+                                    for r in range(rounds) for g in range(1, strands)))
+
+
+@st.composite
+def seeded_words(draw):
+    """Words on 2-8 strands in which every generator occurs, links
+    included, from a drawn seed.  On about half of them a drawn set of
+    generators alternates in sign along the word, so those generators'
+    loops have a zero diagonal."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = rng.randint(2, 8)
+    w = random_word(rng, n, 24, connected=True)
+    flipped = {g for g in range(1, n) if rng.random() < 0.5} if rng.random() < 0.5 else set()
+    seen = dict.fromkeys(range(1, n), 0)
+    letters = []
+    for e in w.letters:
+        g = abs(e)
+        if g in flipped:
+            e = g if seen[g] % 2 == 0 else -g
+            seen[g] += 1
+        letters.append(e)
+    return BraidWord(n, tuple(letters))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeded_words())
+@example(staircase(5, 4))
+@example(staircase(9, 3))
+@example(staircase(5, 5, alternating=True))
+@example(staircase(9, 4, alternating=True))
+@example(resolution_word("0"))
+def test_seifert_matches_dense_oracles(w):
+    # The sparse elimination against congruence over Q and the Fraction
+    # determinant of the dense form V + V^T.
+    form = _form(seifert_matrix(w).matrix)
+    pos, neg, zero = _inertia_over_q(form)
+    assert seifert.seifert(w) == (-((pos - neg) + zero), abs(_det(form)))
+
+
+def _pairwise_matrix(w):
+    """The Seifert matrix by testing every pair of loops."""
+    n, letters = w.strands, w.letters
+    loops = []
+    for g in range(1, n):
+        positions = [k for k, e in enumerate(letters) if abs(e) == g]
+        for p, q in zip(positions, positions[1:]):
+            loops.append((g, p, q, 1 if letters[p] > 0 else -1, 1 if letters[q] > 0 else -1))
+    m = len(loops)
+    v = [[0] * m for _ in range(m)]
+    for i, (g, p, q, sp, sq) in enumerate(loops):
+        v[i][i] = -(sp + sq) // 2
+        for j in range(i + 1, m):
+            gj, pj, qj = loops[j][:3]
+            if gj == g and pj == q:
+                v[i][j], v[j][i] = (sq + 1) // 2, (sq - 1) // 2
+            elif gj == g + 1:
+                if p < pj < q < qj:
+                    v[i][j] = -1
+                elif pj < p < qj < q:
+                    v[i][j] = 1
+    return tuple(tuple(row) for row in v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeded_words())
+@example(staircase(9, 3, alternating=True))
+def test_entries_match_pairwise_enumeration(w):
+    assert seifert_matrix(w).matrix == _pairwise_matrix(w)
