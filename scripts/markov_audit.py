@@ -9,6 +9,9 @@ tables over one marked edge per component.  The CLI must also answer
 ``invariants --homfly --seifert`` and ``invariants --khovanov`` on each word
 with the same stdout and exit code through a result cache shared by the
 whole run as with no cache, a conjugate that misses a generator included.
+Each trial also samples an alternating braid knot and checks, on it and
+on a conjugate and a stabilization of it, that its reduced Khovanov table
+is thin on the diagonal 2j - i = -signature with total rank |determinant|.
 Any counterexample is printed and the script exits nonzero; silence means
 the engines agree with the moves.
 """
@@ -42,6 +45,28 @@ def sample_word(rng: random.Random, strands: int, max_len: int) -> BraidWord:
     letters += [g for g in range(1, strands) if g not in present]
     rng.shuffle(letters)
     return BraidWord(strands, tuple(letters))
+
+
+def alternating_knot(rng: random.Random) -> BraidWord:
+    """A knot on 2 to 5 strands whose generator i always has the sign
+    (-1)^(i+1), each generator at least twice: a reduced alternating diagram."""
+    while True:
+        n = rng.randint(2, 5)
+        gens = [g * (-1) ** (g + 1) for g in range(1, n)]
+        letters = gens * 2 + [rng.choice(gens) for _ in range(rng.randint(0, 4))]
+        rng.shuffle(letters)
+        w = BraidWord(n, tuple(letters))
+        if closure_components(w) == 1:
+            return w
+
+
+def khovanov_on_seifert_diagonal(w: BraidWord) -> bool:
+    """Whether w's reduced Khovanov table is thin on 2j - i = -sigma with
+    total rank |det|, as for every alternating knot."""
+    ranks = reduced_khovanov(braid_to_pd(w))
+    sigma, det = seifert(w)
+    return ({2 * j - i for (i, j), _ in ranks.ranks} == {-sigma}
+            and ranks.total_rank() == abs(det))
 
 
 def invariants(w: BraidWord):
@@ -83,6 +108,7 @@ def main() -> int:
     args = parser.parse_args()
 
     rng = random.Random(args.seed)
+    alternating_rng = random.Random(f"alternating:{args.seed}")
     failures = 0
     with tempfile.TemporaryDirectory() as cache_dir:
         for trial in range(args.trials):
@@ -114,6 +140,15 @@ def main() -> int:
                 if not cache_keeps_answer(v, cache_dir):
                     failures += 1
                     print(f"the result cache changed the CLI's answer for {v.letters}")
+            a = alternating_knot(alternating_rng)
+            c = alternating_rng.choice([g for g in range(1, a.strands)]
+                                       + [-g for g in range(1, a.strands)])
+            sign = alternating_rng.choice([1, -1])
+            for v in (a, conjugate(a, BraidWord(a.strands, (c,))), stabilize(a, sign)):
+                if not khovanov_on_seifert_diagonal(v):
+                    failures += 1
+                    print(f"Khovanov table off the Seifert diagonal: {v.strands} strands, "
+                          f"{v.letters}")
     print(f"{args.trials} trials, {failures} failure(s)")
     return 1 if failures else 0
 

@@ -9,15 +9,20 @@ its key's word.  A record carries the strand count and writhe of its key's
 word, so that all records of one key agree; a query prints its own.  A
 lookup of key k decodes only k's lines and the lines with no readable key,
 and skips the lines that carry another key; ``records`` (``cache list``)
-decodes all.  A corrupt line (not UTF-8, or not a record of well-typed
-fields), or a served invariant with malformed terms, is skipped with a
-warning and recomputed; it never aborts a computation, and the next append
-starts on a line of its own.  A lookup warns only about lines it could
-serve: a corrupt line of another key is reported by ``cache list`` and by
-lookups of that key.  A record of another or no ``CACHE_VERSION`` is
-ignored without a warning, and the next store appends a current one.  A
-link's reduced Khovanov table depends on which component carries the
-marked edge, which conjugation moves, so it is never stored or served.
+decodes all.  A lookup finds those lines in the file's bytes without
+splitting it into lines (``_key_lines``): ``find`` walks the occurrences of
+k's field, and one regular-expression scan finds the line breaks not
+followed by ``_RECORD_OPEN``, after which alone a line with no key can
+start.  Warnings number lines as ``bytes.splitlines`` does.  A corrupt line
+(not UTF-8, or not a record of well-typed fields), or a served invariant
+with malformed terms, is skipped with a warning and recomputed; it never
+aborts a computation, and the next append starts on a line of its own.  A
+lookup warns only about lines it could serve: a corrupt line of another key
+is reported by ``cache list`` and by lookups of that key.  A record of
+another or no ``CACHE_VERSION`` is ignored without a warning, and the next
+store appends a current one.  A link's reduced Khovanov table depends on
+which component carries the marked edge, which conjugation moves, so it is
+never stored or served.
 The cache assumes a single writer: concurrent processes appending to one
 file are not coordinated.  The location is an explicit directory or the
 KNOTBOUND_CACHE environment variable; with neither, the cache is off.
@@ -34,11 +39,11 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import typing
 import warnings
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
-from pathlib import Path
 from typing import Optional
 
 ENV_VAR = "KNOTBOUND_CACHE"
@@ -49,6 +54,11 @@ CACHE_VERSION = 3
 # line of key k holds _KEY_FIELD + json.dumps(k).
 _KEY_FIELD = b'"canonical_key": '
 _KEY_MARK = _KEY_FIELD + b'"'
+# canonical_key sorts first, so every line this program writes opens with
+# _RECORD_OPEN; a \n followed by neither it nor the end of the file starts a
+# line that may hold no mark.
+_RECORD_OPEN = b"{" + _KEY_MARK
+_LOOSE_BREAK = re.compile(rb"\n(?!" + re.escape(_RECORD_OPEN) + rb"|\Z)")
 # The computed fields of a record, in the order the CLI prints them.
 INVARIANTS = ("homfly", "khovanov", "signature", "determinant")
 
@@ -118,6 +128,53 @@ _HINTS = typing.get_type_hints(InvariantRecord)
 _TYPES = tuple(typing.get_args(_HINTS[n]) or _HINTS[n] for n in _NAMES)
 
 
+def _line_span(data: bytes, i: int) -> tuple[int, int]:
+    """Start and end offsets of the ``splitlines`` line of ``data`` that
+    holds offset ``i``."""
+    start = max(data.rfind(b"\n", 0, i), data.rfind(b"\r", 0, i)) + 1
+    ends = [e for e in (data.find(b"\n", i), data.find(b"\r", i)) if e >= 0]
+    return start, min(ends, default=len(data))
+
+
+def _line_number(data: bytes, start: int) -> int:
+    """The ``splitlines`` number, from 1, of the line that starts at ``start``."""
+    breaks = (data.count(b"\n", 0, start) + data.count(b"\r", 0, start)
+              - data.count(b"\r\n", 0, start))
+    return breaks + 1
+
+
+def _key_lines(data: bytes, needle: bytes) -> list[tuple[int, int]]:
+    """The (start, end) offsets, in file order, of the ``splitlines`` lines of
+    ``data`` that hold ``needle`` or hold no ``_KEY_MARK``.
+
+    Both searches run over the bytes, not line by line.  ``find`` walks the
+    occurrences of ``needle``.  A line with no mark cannot open a record, so
+    it starts the file, or follows a lone ``\r`` or a ``\n`` that opens no
+    record; ``_LOOSE_BREAK`` finds those ``\n`` in one scan.  Only the lines
+    found are sliced out of ``data``; a file this program wrote has no loose
+    break, so a lookup slices out only its key's lines.
+    """
+    spans = {}
+    i = data.find(needle)
+    while i >= 0:
+        start, end = _line_span(data, i)
+        spans[start] = end
+        i = data.find(needle, end)
+    loose = [m.end() for m in _LOOSE_BREAK.finditer(data)]
+    if not data.startswith(_RECORD_OPEN):
+        loose.append(0)
+    r = data.find(b"\r")
+    while r >= 0:
+        if data[r + 1:r + 2] != b"\n":
+            loose.append(r + 1)
+        r = data.find(b"\r", r + 1)
+    for i in loose:
+        start, end = _line_span(data, i)
+        if start not in spans and data.find(_KEY_MARK, start, end) < 0:
+            spans[start] = end
+    return sorted(spans.items())
+
+
 def _int_triples(value) -> bool:
     return isinstance(value, list) and all(
         isinstance(t, list) and len(t) == 3 and all(type(x) is int for x in t)
@@ -145,12 +202,13 @@ def _servable(rec: InvariantRecord) -> InvariantRecord:
 
 class ResultCache:
     """Append-on-store view of the JSONL cache file.  A lookup reads the file
-    and decodes only the lines that can hold its key; ``records`` decodes all."""
+    once and decodes only the lines that can hold its key; ``records``
+    decodes all."""
 
     def __init__(self, directory: Optional[str] = None):
         if directory is None:
             directory = os.environ.get(ENV_VAR)
-        self.path: Optional[Path] = Path(directory) / _FILE_NAME if directory else None
+        self.path: Optional[str] = os.path.join(directory, _FILE_NAME) if directory else None
         # The merged record, or None, of each key looked up so far.
         self._records: dict[str, Optional[InvariantRecord]] = {}
         # The file ends inside a line, so the next append starts a new one.
@@ -162,30 +220,36 @@ class ResultCache:
 
     def _read(self, key: Optional[str]) -> dict[str, InvariantRecord]:
         """Current-version records of the file, merged per key in file order:
-        of ``key`` alone, or of every key when ``key`` is None."""
-        if self.path is None or not self.path.exists():
+        of ``key`` alone, or of every key when ``key`` is None.
+
+        With a key, only the lines ``_key_lines`` finds are sliced out and
+        decoded: those holding the key's field and those with no key mark.
+        A warning's line number is counted only when a line is corrupt."""
+        if self.path is None:
             return {}
         try:
-            data = self.path.read_bytes()
+            with open(self.path, "rb") as fh:
+                data = fh.read()
+        except (FileNotFoundError, NotADirectoryError):
+            return {}
         except OSError as exc:
             warnings.warn(f"cache read failed, continuing without it: {exc}")
             return {}
         self._torn = data[-1:] not in (b"", b"\n")
-        lines = enumerate(data.splitlines(), 1)
-        if key is not None:
-            # Skip the lines that carry another key; decode the rest.  find(),
-            # not `in`: bytes `in` first tries its operand as an integer.
+        if key is None:
+            lines = enumerate(data.splitlines(), 1)
+        else:
             needle = _KEY_FIELD + json.dumps(key).encode()
-            lines = [(n, line) for n, line in lines
-                     if line.find(needle) >= 0 or line.find(_KEY_MARK) < 0]
+            lines = ((start, data[start:end]) for start, end in _key_lines(data, needle))
         records, from_json = {}, InvariantRecord.from_json
-        for lineno, line in lines:
+        for where, line in lines:
             if not line.strip():
                 continue
             try:
                 # A line that is not UTF-8 raises UnicodeDecodeError, a ValueError.
                 rec = from_json(line.decode())
             except ValueError as exc:
+                lineno = where if key is None else _line_number(data, where)
                 warnings.warn(f"skipping corrupt cache line {lineno}: {exc}")
                 continue
             if rec.version != CACHE_VERSION or (
@@ -217,8 +281,8 @@ class ResultCache:
             return
         self._records[record.canonical_key] = record
         try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a") as fh:
+            os.makedirs(os.path.dirname(self.path), exist_ok=True)
+            with open(self.path, "a") as fh:
                 fh.write(("\n" if self._torn else "") + record.to_json() + "\n")
                 fh.flush()
             self._torn = False
@@ -229,6 +293,6 @@ class ResultCache:
         return sorted(self._read(None).values(), key=lambda r: r.canonical_key)
 
     def clear(self) -> None:
-        if self.path is not None and self.path.exists():
-            self.path.unlink()
+        if self.path is not None and os.path.exists(self.path):
+            os.remove(self.path)
         self._records = {}

@@ -19,6 +19,7 @@ import functools
 import json
 import sys
 from dataclasses import asdict, replace
+from gettext import gettext
 from typing import Optional
 
 from . import braid
@@ -232,8 +233,9 @@ def _cmd_cache(args) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process (``parse_args`` leaves it as is)."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The CLI's parser and each verb's subparser, built once per process
+    (``parse_args`` leaves them as they are)."""
     parser = argparse.ArgumentParser(
         prog="knotbound",
         description="Braid-closure knot invariants and braid-index bounds.",
@@ -286,12 +288,34 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache.add_argument("--json", action="store_true")
     p_cache.set_defaults(func=_cmd_cache)
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process."""
+    return _parsers()[0]
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command line and return its exit code.
+
+    An argv that starts with a verb goes straight to that verb's parser,
+    which skips the full parser's own pass over it; anything else (no
+    argv, ``-h``, an unknown verb) goes to the full parser.  Either way the
+    messages, usage lines and exit codes are the full parser's: a verb's
+    errors and ``--help`` come from its parser in both, and leftover
+    arguments are reported by the top-level parser, as ``parse_args`` does.
+    """
+    parser, verbs = _parsers()
+    argv = sys.argv[1:] if argv is None else argv
+    verb = verbs.get(argv[0]) if argv else None
     try:
-        args = build_parser().parse_args(argv)
+        if verb is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extras = verb.parse_known_args(argv[1:])
+            if extras:
+                parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:

@@ -75,10 +75,6 @@ class LaurentPoly1:
                 d[e] = d.get(e, 0) + c1 * c2
         return LaurentPoly1.from_dict(d)
 
-    def reciprocal(self) -> "LaurentPoly1":
-        """Substitute the variable by its inverse."""
-        return LaurentPoly1.from_dict({-e: c for e, c in self.terms})
-
     def evaluate(self, value: Fraction) -> Fraction:
         return sum((Fraction(c) * value**e for e, c in self.terms), Fraction(0))
 
@@ -150,12 +146,6 @@ class LaurentPoly2:
                 k = (a1 + a2, z1 + z2)
                 d[k] = d.get(k, 0) + c1 * c2
         return LaurentPoly2.from_dict(d)
-
-    def scale(self, e_a: int, e_z: int, c: int = 1) -> "LaurentPoly2":
-        """Multiply by the monomial c a^{e_a} z^{e_z}."""
-        return LaurentPoly2(
-            tuple(((a + e_a, z + e_z), cc * c) for (a, z), cc in self.terms)
-        )
 
     def z_span(self) -> tuple[int, int]:
         if not self.terms:

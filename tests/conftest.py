@@ -3,6 +3,17 @@ import random
 import pytest
 
 from knotbound.braid import BraidWord
+from knotbound.laurent import LaurentPoly1, LaurentPoly2
+
+
+def reciprocal(p: LaurentPoly1) -> LaurentPoly1:
+    """Substitute the variable of ``p`` by its inverse."""
+    return LaurentPoly1.from_dict({-e: c for e, c in p.terms})
+
+
+def scale(p: LaurentPoly2, e_a: int, e_z: int, c: int = 1) -> LaurentPoly2:
+    """``p`` times the monomial c a^{e_a} z^{e_z}."""
+    return LaurentPoly2(tuple(((a + e_a, z + e_z), cc * c) for (a, z), cc in p.terms))
 
 
 def random_word(rng: random.Random, strands: int, max_len: int,

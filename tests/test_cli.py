@@ -130,6 +130,48 @@ def test_parser_built_once():
     assert build_parser() is build_parser()
 
 
+# Every usage error and help request of every verb, and of the top level.
+USAGE_ARGVS = [
+    [], ["nope"], ["--help"], ["-h"], ["--bogus"], ["--", "invariants"],
+    ["invariants", "1", "--strands", "2", "--bogus"],
+    ["invariants", "1", "2", "--strands", "2"],
+    ["invariants", "1", "--strands"],
+    ["invariants", "1", "--strands", "two"],
+    ["invariants", "1", "--strands", "2", "--he"],
+    ["invariants", "-h"],
+    ["family", "torus2", "--q", "3", "--bogus"],
+    ["family", "torus2", "extra"],
+    ["family"],
+    ["family", "nope"],
+    ["family", "torus2", "--emit", "nope"],
+    ["family", "torus2", "--q", "three"],
+    ["family", "--help"],
+    ["bounds", "1", "--strands", "2", "--bogus"],
+    ["bounds", "1", "2", "--strands", "2"],
+    ["bounds", "1"],
+    ["bounds", "1", "--strands", "two"],
+    ["bounds", "-h"],
+    ["verify-paper", "--bogus"],
+    ["verify-paper", "extra"],
+    ["verify-paper", "--section"],
+    ["verify-paper", "--section", "9"],
+    ["verify-paper", "-h"],
+    ["cache", "list", "--bogus"],
+    ["cache", "list", "extra"],
+    ["cache"],
+    ["cache", "nuke"],
+    ["cache", "-h"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ARGVS, ids=" ".join)
+def test_usage_messages_are_the_full_parsers(capsys, argv):
+    code, out, err = run(capsys, argv)
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert (code, out, err) == (exc.value.code, *capsys.readouterr())
+
+
 def test_bounds_with_deltas(capsys):
     code, out, _ = run(
         capsys,
@@ -949,13 +991,43 @@ key_records = st.builds(
     created=st.sampled_from(["", "t0", "t1"]),
     version=st.sampled_from([CACHE_VERSION, CACHE_VERSION, None, 2]),
 )
+
+
+def _with_cr(line: bytes, at: int) -> bytes:
+    at %= len(line) + 1
+    return line[:at] + b"\r" + line[at:]
+
+
 corrupt_lines = st.sampled_from([
     b"[]", b"null", b"", b"   ", b"\xff\xfe", b"not json",
     json.dumps({"canonical_key": ["k"]}).encode(),
+    b"\r", b"\t \x0c", b" \r ", b"[]\r",
 ]) | key_records.map(lambda r: r.to_json().encode()[:-7]) | key_records.map(
-    lambda r: json.dumps({**asdict(r), "strands": None}, sort_keys=True).encode())
+    lambda r: json.dumps({**asdict(r), "strands": None}, sort_keys=True).encode()
+) | st.builds(  # a record with a \r in it: two lines to splitlines
+    _with_cr, key_records.map(lambda r: r.to_json().encode()), st.integers(0, 400),
+) | st.builds(  # a torn record, then a whole one on the same line
+    lambda torn, whole: torn.to_json().encode()[:-7] + whole.to_json().encode(),
+    key_records, key_records,
+) | key_records.map(  # a good record with no _KEY_MARK
+    lambda r: json.dumps(asdict(r), sort_keys=True, separators=(",", ":")).encode())
 cache_lines = st.lists(key_records.map(lambda r: r.to_json().encode()) | corrupt_lines,
                        max_size=12)
+
+
+def _oracle_warned_lines(data: bytes, key: str) -> list[int]:
+    """The lines a lookup of ``key`` warns about, by the per-line filter: a
+    line is decoded if it holds the key's field or no key mark at all."""
+    needle = b'"canonical_key": ' + json.dumps(key).encode()
+    warned = []
+    for lineno, line in enumerate(data.splitlines(), 1):
+        if line.strip() and (line.find(needle) >= 0
+                             or line.find(b'"canonical_key": "') < 0):
+            try:
+                InvariantRecord.from_json(line.decode())
+            except ValueError:
+                warned.append(lineno)
+    return warned
 
 
 @settings(deadline=None)
@@ -963,14 +1035,16 @@ cache_lines = st.lists(key_records.map(lambda r: r.to_json().encode()) | corrupt
 def test_cache_load_matches_full_decode(lines, final_newline):
     data = b"\n".join(lines) + (b"\n" if final_newline and lines else b"")
     full = _full_decode(data)
-    with tempfile.TemporaryDirectory() as d, warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with tempfile.TemporaryDirectory() as d, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         (Path(d) / "invariants.jsonl").write_bytes(data)
         assert ResultCache(d).records() == sorted(full.values(),
                                                   key=lambda r: r.canonical_key)
         for key in CACHE_KEYS + ["missing"]:
             expected = _servable(full[key]) if key in full else None
+            caught.clear()
             assert ResultCache(d).load(key) == expected, key
+            assert _warned_lines(caught) == _oracle_warned_lines(data, key), key
 
 
 def test_cache_load_decodes_only_its_key(tmp_path, monkeypatch):

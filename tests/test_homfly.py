@@ -27,6 +27,7 @@ from knotbound.verify import (
     HOMFLY_SMOOTHED,
     HOMFLY_SWITCHED,
 )
+from conftest import scale
 
 A = LaurentPoly2.monomial(1, 0)
 A_INV = LaurentPoly2.monomial(-1, 0)
@@ -166,7 +167,7 @@ def _oracle_times(vec, i, inverse=False):
     for p, c in vec.items():
         _oracle_add(out, p[:i - 1] + (p[i], p[i - 1]) + p[i + 1:], c)
         if (p[i - 1] < p[i]) == inverse:
-            _oracle_add(out, p, c.scale(0, 1, 1 if inverse else -1))
+            _oracle_add(out, p, scale(c, 0, 1, 1 if inverse else -1))
     return {p: c for p, c in out.items() if not c.is_zero()}
 
 
@@ -182,15 +183,15 @@ def _homfly_oracle(w):
             j = p.index(m - 1)
             rest = p[:j] + p[j + 1:]
             if j == m - 1:
-                part = {rest: c.scale(1, -1) - c.scale(-1, -1)}
+                part = {rest: scale(c, 1, -1) - scale(c, -1, -1)}
             else:
-                part = {rest: c.scale(-1, 0)}
+                part = {rest: scale(c, -1, 0)}
                 for i in range(m - 2, j, -1):
                     part = _oracle_times(part, i)
             for q, cq in part.items():
                 _oracle_add(closed, q, cq)
         vec = closed
-    return vec[(0,)].scale(writhe(w), 0)
+    return scale(vec[(0,)], writhe(w), 0)
 
 
 @st.composite

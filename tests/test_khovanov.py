@@ -5,12 +5,13 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from knotbound.braid import (
     BraidWord,
     canonical_closure_key,
+    closure_components,
     conjugate,
     elrifai_k_word,
     free_reduce,
@@ -34,6 +35,7 @@ from knotbound.khovanov import (
     poincare_polynomial,
     reduced_khovanov,
 )
+from knotbound.seifert import seifert
 from knotbound.verify import KHOVANOV_MAIN, KHOVANOV_MAIN_POINCARE, euler_matches
 from conftest import random_word
 from khovanov_cube import cube_khovanov
@@ -187,6 +189,41 @@ def scrambled_diagrams(draw):
 @example(braid_to_pd(BraidWord(4, (2, 2, 3, 2))))
 def test_scanner_matches_cube_oracle(pd):
     assert reduced_khovanov(pd) == cube_khovanov(pd)
+
+
+@st.composite
+def alternating_knots(draw):
+    """An alternating braid knot on 2-5 strands, then perhaps one Markov move.
+
+    Generator i always has the sign (-1)^(i+1), so the closure's diagram is
+    alternating, and each generator occurs at least twice, so it is reduced.
+    A conjugate or a stabilization is another diagram of the same knot.
+    """
+    n = draw(st.integers(2, 5))
+    gens = [g * (-1) ** (g + 1) for g in range(1, n)]
+    letters = gens * 2 + draw(st.lists(st.sampled_from(gens), max_size=4))
+    w = BraidWord(n, tuple(draw(st.permutations(letters))))
+    assume(closure_components(w) == 1)
+    move = draw(st.sampled_from(["none", "conjugate", "stabilize"]))
+    if move == "conjugate":
+        c = draw(st.sampled_from(gens + [-g for g in gens]))
+        return conjugate(w, BraidWord(n, (c,)))
+    if move == "stabilize":
+        return stabilize(w, draw(st.sampled_from([1, -1])))
+    return w
+
+
+# Reduced Khovanov homology of an alternating knot is thin on the diagonal
+# 2j - i = -sigma (E. S. Lee, Adv. Math. 197, 2005), and its total rank is
+# |det| (C. Manolescu and P. Ozsvath, 2008): an engine check that ties the
+# Khovanov tables to the Seifert form.
+@settings(max_examples=50, deadline=None)
+@given(alternating_knots())
+def test_alternating_knot_khovanov_is_the_seifert_diagonal(w):
+    ranks = reduced_khovanov(braid_to_pd(w))
+    sigma, det = seifert(w)
+    assert {2 * j - i for (i, j), _ in ranks.ranks} == {-sigma}
+    assert ranks.total_rank() == abs(det)
 
 
 # --- the scan's start -----------------------------------------------------------

@@ -54,6 +54,17 @@ def test_scan_timing_runs(capsys):
     assert capsys.readouterr().out.startswith("5 knots, seed 1: key ")
 
 
+def test_cli_timing_runs(capsys):
+    cli_timing = load_script("cli_timing")
+    load = cli_timing.ResultCache.load
+    per_query = cli_timing.report(seed=1, groups=3, passes=1)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("21 queries x 1 passes, seed 1: cli.main ")
+    assert [line.split()[0] for line in lines[1:]] == [*cli_timing.PARTS, "other"]
+    assert per_query["main"] > 0
+    assert cli_timing.ResultCache.load is load  # the wrappers are gone
+
+
 def test_seifert_timing_runs(capsys):
     seifert_timing = load_script("seifert_timing")
     name, seconds = seifert_timing.report(seed=1, rows=256)
