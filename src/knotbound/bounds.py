@@ -12,7 +12,7 @@ interval propagation through skein triples) is exact arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from .braid import BraidError, BraidWord, EngineInconsistency, writhe
@@ -113,24 +113,11 @@ class BoundReport:
     deficits: tuple[int, int] = (0, 0)
 
     def as_dict(self) -> dict:
-        return {
-            "word": str(self.word),
-            "strands": self.word.strands,
-            "w_d": self.w_d,
-            "b_d": self.b_d,
-            "d_minus": self.d_minus,
-            "d_plus": self.d_plus,
-            "mfw_bound": self.mfw_bound,
-            "mfw_sharp_lower": self.mfw_sharp_lower,
-            "mfw_sharp_upper": self.mfw_sharp_upper,
-            "delta_minus": self.delta_minus,
-            "delta_plus": self.delta_plus,
-            "kr_bound": self.kr_bound,
-            "kr_sharp_lower": self.kr_sharp_lower,
-            "kr_sharp_upper": self.kr_sharp_upper,
-            "deficit_upper": self.deficits[0],
-            "deficit_lower": self.deficits[1],
-        }
+        d = {"word": str(self.word), "strands": self.word.strands}
+        for f in fields(self)[1:-1]:
+            d[f.name] = getattr(self, f.name)
+        d["deficit_upper"], d["deficit_lower"] = self.deficits
+        return d
 
     def render(self) -> str:
         d = self.as_dict()

@@ -84,10 +84,9 @@ def _invariant_payload(w: BraidWord, wanted: tuple[str, ...], cache: ResultCache
     The record is keyed by the closure key, and what depends only on the
     closure is computed from the key's word ``BraidWord(*key)``: HOMFLYPT,
     and a knot's reduced Khovanov table.  That word is cyclically reduced
-    and destabilized, and as the least rotation it starts with a longest
-    run of its most negative letter, which keeps the Khovanov scan's
-    complexes small.  The scan's cost grows with the crossings, so a knot
-    is scanned from ``braid.scan_word`` of the key's word, the shortest
+    and destabilized; its rotation matters little to the scan, which picks
+    its own start crossing.  The scan's cost grows with the crossings, so a
+    knot is scanned from ``braid.scan_word`` of the key's word, the shortest
     word its bounded search finds for the same closure.  A link's table
     depends on which component carries the marked edge, so a link is
     scanned from ``braid.reduce_handles`` of ``w``, an equal braid; the

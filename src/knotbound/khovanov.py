@@ -140,44 +140,27 @@ class PlanarDiagram:
 
 def braid_to_pd(w: BraidWord) -> PlanarDiagram:
     """Planar diagram of the closure; the marked edge is strand 1's closure arc."""
-    n = w.strands
     letters = w.letters
-    touching: dict[int, list[int]] = {r: [] for r in range(1, n + 1)}
+    rows: list[list[int]] = [[] for _ in range(w.strands)]  # crossings on row r + 1
     for pos, e in enumerate(letters):
-        i = abs(e)
-        touching[i].append(pos)
-        touching[i + 1].append(pos)
-
-    next_edge = 0
+        rows[abs(e) - 1].append(pos)
+        rows[abs(e)].append(pos)
+    # ends[pos]: the (incoming, outgoing) edges of its top row, then its bottom.
+    ends: list[list] = [[None, None] for _ in letters]
     free_edges: list[int] = []
-    # incoming[r][pos] / outgoing[r][pos]: edge ids on row r at a crossing.
-    incoming: dict[int, dict[int, int]] = {}
-    outgoing: dict[int, dict[int, int]] = {}
-    for r in range(1, n + 1):
-        positions = touching[r]
-        if not positions:
-            free_edges.append(next_edge)
-            next_edge += 1
-            continue
-        closure = next_edge  # arc from the last crossing around to the first
-        next_edge += 1
-        inc, out = {}, {}
-        inc[positions[0]] = closure
-        for p, p_next in zip(positions, positions[1:]):
-            out[p] = next_edge
-            inc[p_next] = next_edge
-            next_edge += 1
-        out[positions[-1]] = closure
-        incoming[r] = inc
-        outgoing[r] = out
+    first = 0
+    for r, positions in enumerate(rows):
+        # The row's k-th crossing is entered by edge first + k; the last one
+        # leaves by the closure arc, edge first.
+        m = len(positions)
+        for k, pos in enumerate(positions):
+            ends[pos][r - abs(letters[pos]) + 1] = first + k, first + (k + 1) % m
+        if not m:
+            free_edges.append(first)
+        first += m or 1
 
     crossings = []
-    for pos, e in enumerate(letters):
-        i = abs(e)
-        in_top = incoming[i][pos]
-        out_top = outgoing[i][pos]
-        in_bot = incoming[i + 1][pos]
-        out_bot = outgoing[i + 1][pos]
+    for e, ((in_top, out_top), (in_bot, out_bot)) in zip(letters, ends):
         if e > 0:
             ports = (in_bot, out_bot, out_top, in_top)
         else:
@@ -185,7 +168,7 @@ def braid_to_pd(w: BraidWord) -> PlanarDiagram:
         crossings.append((ports, 1 if e > 0 else -1))
 
     # Row 1 is numbered first, so its closure arc or free circle is edge 0.
-    return PlanarDiagram(tuple(crossings), next_edge, 0, tuple(free_edges))
+    return PlanarDiagram(tuple(crossings), first, 0, tuple(free_edges))
 
 
 @dataclass(frozen=True)
@@ -641,33 +624,28 @@ def _order_from(links: list[tuple[int, ...]], start: int,
     ends of the marked edge stay on the boundary and join nothing, so start
     k of a braid closure whose marked edge is strand 1's arc into crossing
     k scans in the braid order of rotation k.  Each crossing's count of
-    boundary ports only grows, and the crossings sit in one heap of cyclic
-    offsets per count, so a replay costs O(c log c).  Returns ``(cost,
-    order)``, where the cost sums Catalan(|boundary| / 2), the number of
-    crossingless matchings a step's objects can have, over the steps; or
-    None as soon as the cost reaches ``bound``.
+    boundary ports only grows, and one heap holds the key (4 - count) * c +
+    cyclic offset each time a crossing's count changes, every crossing at
+    count 0 to begin with; the least key whose count is still current is
+    next, so a replay costs O(c log c).  Returns ``(cost, order)``, where
+    the cost sums Catalan(|boundary| / 2), the number of crossingless
+    matchings a step's objects can have, over the steps; or None as soon as
+    the cost reaches ``bound``.
     """
     c = len(links)
     count = [0] * c
     done = [False] * c
-    heaps: list[list[int]] = [[] for _ in range(5)]  # by count; 0 unused
+    heap = list(range(4 * c, 5 * c))  # sorted, so already a heap
     order: list[int] = []
-    cost = width = first = 0
+    cost = width = 0
     for _ in range(c):
-        for d in (4, 3, 2, 1):
-            heap = heaps[d]
-            while heap:
-                k = (start + heappop(heap)) % c
-                if count[k] == d and not done[k]:
-                    break
-            else:
-                continue
-            break
-        else:
-            # An empty boundary: take the first crossing not yet scanned.
-            while done[(start + first) % c]:
-                first += 1
-            k = (start + first) % c
+        while True:
+            key = heappop(heap)
+            k = (start + key) % c
+            # Each (crossing, count) is pushed once, so a current count
+            # also means the crossing is not scanned yet.
+            if key // c + count[k] == 4:
+                break
         done[k] = True
         order.append(k)
         for j in links[k]:
@@ -680,7 +658,7 @@ def _order_from(links: list[tuple[int, ...]], start: int,
             else:
                 width += 1
                 count[j] += 1
-                heappush(heaps[count[j]], (j - start) % c)
+                heappush(heap, (4 - count[j]) * c + (j - start) % c)
         half = width // 2
         cost += comb(2 * half, half) // (half + 1)
         if bound is not None and cost >= bound:

@@ -41,31 +41,8 @@ class LaurentPoly1:
     def from_dict(d: Mapping[int, int]) -> "LaurentPoly1":
         return LaurentPoly1(tuple(sorted(_clean(d).items())))
 
-    @staticmethod
-    def zero() -> "LaurentPoly1":
-        return LaurentPoly1(())
-
-    @staticmethod
-    def monomial(e: int, c: int = 1) -> "LaurentPoly1":
-        return LaurentPoly1.from_dict({e: c})
-
     def as_dict(self) -> dict[int, int]:
         return dict(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "LaurentPoly1") -> "LaurentPoly1":
-        d = self.as_dict()
-        for e, c in other.terms:
-            d[e] = d.get(e, 0) + c
-        return LaurentPoly1.from_dict(d)
-
-    def __neg__(self) -> "LaurentPoly1":
-        return LaurentPoly1(tuple((e, -c) for e, c in self.terms))
-
-    def __sub__(self, other: "LaurentPoly1") -> "LaurentPoly1":
-        return self + (-other)
 
     def __mul__(self, other: "LaurentPoly1") -> "LaurentPoly1":
         d: dict[int, int] = {}

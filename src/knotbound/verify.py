@@ -109,14 +109,10 @@ SIGMA_DET_TABLE = {
 }
 
 
-def _res(label: str) -> BraidWord:
-    return braid.resolution_word(label)
-
-
 @functools.cache
 def _res_seifert(label: str) -> tuple[int, int]:
     """(signature, determinant) of a resolution closure, shared by section 2."""
-    return seifert(_res(label))
+    return seifert(braid.resolution_word(label))
 
 
 @functools.cache
@@ -275,17 +271,17 @@ def _c_homfly_main():
 
 
 def _c_homfly_switched():
-    got = to_aq(homfly(_res("-")))
+    got = to_aq(homfly(braid.resolution_word("-")))
     return got == HOMFLY_SWITCHED, got.render()
 
 
 def _c_homfly_smoothed():
-    got = to_aq(homfly(_res("0")))
+    got = to_aq(homfly(braid.resolution_word("0")))
     return got == HOMFLY_SMOOTHED, f"clearing={got.clearing}; {got.render()}"
 
 
 def _c_homfly_double():
-    got = to_aq(homfly(_res("0-")))
+    got = to_aq(homfly(braid.resolution_word("0-")))
     return got == HOMFLY_DOUBLE, f"clearing={got.clearing}; {got.render()}"
 
 
@@ -326,7 +322,7 @@ def _c_euler_characteristic():
     cases = [
         (BraidWord(1, ()), None),
         (BraidWord(2, (1, 1, 1)), None),
-        (_res("-"), None),
+        (braid.resolution_word("-"), None),
         (braid.elrifai_k_word(1), _main_khovanov()),
     ]
     for w, ranks in cases:
@@ -336,13 +332,15 @@ def _c_euler_characteristic():
 
 
 def _c_resolution_identities():
-    ok = free_reduce(_res("0-")).letters == (1, 2, 2, 1, 1, 1, -2, -2, -2)
-    ok &= free_reduce(_res("-")).letters == (1, 2, 2, 1, 1, -2)
-    ok &= homfly(_res("00")) == homfly(_res("-"))
-    ok &= homfly(_res("0--")) == homfly(braid.torus2_word(-3)) * homfly(
+    ok = free_reduce(braid.resolution_word("0-")).letters == (
+        1, 2, 2, 1, 1, 1, -2, -2, -2
+    )
+    ok &= free_reduce(braid.resolution_word("-")).letters == (1, 2, 2, 1, 1, -2)
+    ok &= homfly(braid.resolution_word("00")) == homfly(braid.resolution_word("-"))
+    ok &= homfly(braid.resolution_word("0--")) == homfly(braid.torus2_word(-3)) * homfly(
         braid.torus2_word(4)
     )
-    ok &= homfly(_res("0-0")) == LaurentPoly2.one()
+    ok &= homfly(braid.resolution_word("0-0")) == LaurentPoly2.one()
     # Thin reconstruction of the switched resolution from (P, sigma).
     thin = thin_reconstruct(HOMFLY_SWITCHED, 2)
     ok &= thin.total_dim() == 7 and delta_range(thin) == (2, 6)

@@ -16,7 +16,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from knotbound import cli, khovanov
@@ -93,6 +93,10 @@ def test_family_word(capsys):
     code, out, _ = run(capsys, ["family", "elrifai-k", "--k", "1", "--emit", "word"])
     assert code == 0
     assert out.strip() == KSTAR_TEXT
+    code, out, _ = run(
+        capsys, ["family", "elrifai-k", "--k", "1", "--emit", "word", "--json"]
+    )
+    assert (code, out) == (0, f'{{"strands": 3, "word": "{KSTAR_TEXT}"}}\n')
 
 
 def test_family_bm_bounds(capsys):
@@ -183,6 +187,17 @@ def test_bounds_with_deltas(capsys):
     assert payload["kr_bound"] == 3
     assert payload["kr_sharp_lower"] and payload["kr_sharp_upper"]
     assert payload["mfw_bound"] == 2 and not payload["mfw_sharp_lower"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", KSTAR_TEXT, "--strands", "3", "--delta-minus", "4"],
+    ["family", "elrifai-k", "--k", "1", "--emit", "bounds", "--delta-plus", "8"],
+], ids=["bounds-minus-only", "family-plus-only"])
+def test_one_sided_delta_span_exit_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "supply both --delta-minus and --delta-plus or neither" in err
+    assert "Traceback" not in err
 
 
 def test_bounds_parity_error(capsys):
@@ -302,9 +317,16 @@ def test_emit_and_import_pd(tmp_path, capsys):
         ("X 0 1 1 99999 +\nM 0\n",
          "100000 edge ids for 1 crossings and 0 free circles; expected 2"),
         ("M 0\nM 1\nU 0\nU 1\n", "a second M line: 'M 1'"),
+        ("X 0 1 2 +\nM 0\n", "malformed crossing line 'X 0 1 2 +'"),
+        ("X 0 1 1 0 *\nM 0\n", "malformed crossing line 'X 0 1 1 0 *'"),
+        ("X 1 1 0 0 +\nY 0\n", "unrecognised PD line 'Y 0'"),
+        # The closure of the one-letter 2-strand word, which has 2 edges.
+        ("X 1 1 0 0 +\nM 7\n", "marked edge out of range"),
+        ("X 0 0 0 1 +\nM 0\n", "edges [0, 1] do not appear exactly twice"),
     ],
     ids=["non-integer-port", "bare-U", "bare-M", "negative-edge", "misoriented",
-         "sparse-edge-ids", "second-M"],
+         "sparse-edge-ids", "second-M", "four-tokens", "bad-sign", "unknown-line",
+         "marked-out-of-range", "edge-three-times"],
 )
 def test_malformed_pd_file_exit_2(tmp_path, capsys, text, message):
     pd_file = tmp_path / "bad.pd"
@@ -315,6 +337,37 @@ def test_malformed_pd_file_exit_2(tmp_path, capsys, text, message):
     assert code == 2
     assert out == ""
     assert message in err
+    assert "Traceback" not in err
+
+
+def pd_file_khovanov(tmp_path, capsys, text) -> list:
+    pd_file = tmp_path / "diagram.pd"
+    pd_file.write_text(text)
+    code, out, _ = run(
+        capsys, ["invariants", "--pd-file", str(pd_file), "--khovanov", "--json"]
+    )
+    assert code == 0
+    return json.loads(out)["khovanov"]["ranks"]
+
+
+def test_pd_file_comments_and_default_marked_edge(tmp_path, capsys):
+    # A trefoil (edges 0-5) beside a free unknot (edge 6): the table depends
+    # on the marked component, so marking edge 6 tells a file with no M line
+    # from one with M 0.
+    crossings = "X 3 4 1 0 +\nX 4 5 2 1 +\nX 5 3 0 2 +\nU 6\n"
+    marked_0 = pd_file_khovanov(tmp_path, capsys, crossings + "M 0\n")
+    assert marked_0 != pd_file_khovanov(tmp_path, capsys, crossings + "M 6\n")
+    commented = "# trefoil and a free circle\n\n" + crossings.replace("\n", "\n  \n# -\n", 1)
+    assert pd_file_khovanov(tmp_path, capsys, commented) == marked_0
+
+
+def test_emitted_free_circle_round_trips(tmp_path, capsys):
+    argv = ["invariants", "1", "--strands", "3"]
+    code, pd_text, _ = run(capsys, argv + ["--emit-pd"])
+    assert code == 0 and "U 2\n" in pd_text.splitlines(keepends=True)
+    code, out, _ = run(capsys, argv + ["--khovanov", "--json"])
+    assert code == 0
+    assert pd_file_khovanov(tmp_path, capsys, pd_text) == json.loads(out)["khovanov"]["ranks"]
 
 
 def test_pd_edge_count_checked_before_allocation(tmp_path):
@@ -861,6 +914,39 @@ def test_cache_unreadable_file_not_fatal(tmp_path, capsys, monkeypatch):
     assert (code, out) == (0, direct)
 
 
+def _caught_messages(capsys, argv) -> tuple:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run(capsys, argv)
+    return code, out, [str(w.message) for w in caught]
+
+
+def test_cache_file_in_place_of_directory_not_fatal(tmp_path, capsys):
+    argv = ["invariants", "1 1 1", "--strands", "2", "--all", "--json"]
+    _, direct, _ = run(capsys, argv)
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("")
+    code, out, messages = _caught_messages(capsys, argv + ["--cache-dir", str(not_a_dir)])
+    assert (code, out) == (0, direct)
+    assert [m.split(":")[0] for m in messages] == ["cache write failed, continuing without it"]
+
+
+def test_cache_file_that_is_a_directory_not_fatal(tmp_path, capsys):
+    argv = ["invariants", "1 1 1", "--strands", "2", "--all", "--json"]
+    _, direct, _ = run(capsys, argv)
+    (tmp_path / "invariants.jsonl").mkdir()
+    code, out, messages = _caught_messages(capsys, argv + ["--cache-dir", str(tmp_path)])
+    assert (code, out) == (0, direct)
+    assert [m.split(":")[0] for m in messages] == [
+        "cache read failed, continuing without it",
+        "cache write failed, continuing without it",
+    ]
+    code, out, messages = _caught_messages(
+        capsys, ["cache", "list", "--cache-dir", str(tmp_path)])
+    assert (code, out) == (0, "0 record(s)\n")
+    assert [m.split(":")[0] for m in messages] == ["cache read failed, continuing without it"]
+
+
 def test_cache_never_serves_link_khovanov(tmp_path, capsys):
     # Conjugate words of a trefoil split from an unknot: one key, but the
     # marked strand lies on the trefoil in one and on the unknot in the other.
@@ -1030,7 +1116,9 @@ def _oracle_warned_lines(data: bytes, key: str) -> list[int]:
     return warned
 
 
-@settings(deadline=None)
+# No shrinking: a failing example is a long file, and each shrink step
+# rewrites it and looks up every key, so one failure shrank for minutes.
+@settings(deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
 @given(cache_lines, st.booleans())
 def test_cache_load_matches_full_decode(lines, final_newline):
     data = b"\n".join(lines) + (b"\n" if final_newline and lines else b"")
