@@ -12,10 +12,14 @@ factor a permutation braid encoded by its permutation in one-line notation.
 A normal form times a simple element, on either side, takes one pass of
 pair normalisations (Elrifai and Morton, "Algorithms for positive braids",
 Quart. J. Math. Oxford 45, 1994; Epstein et al., "Word Processing in
-Groups", 1992, ch. 9).  So a word is normalised letter by letter, and
-destabilization normalises each cyclic rotation once and reaches every
-conjugate by a permutation braid, or its inverse, by one left and one right
-simple-element product.
+Groups", 1992, ch. 9).  So a word is normalised letter by letter.
+Destabilization normalises only the first cyclic rotation from its word:
+the next rotation is a conjugate by one letter, and every conjugate it
+tries is by a permutation braid or its inverse, so each further normal form
+is one left and one right simple-element product, with the simple-element
+operations memoised for the call.  Each distinct normal form is looked at
+once, and its word is spelled only when its letter counts allow a hit.  A
+search of more than ``MAX_CONJUGATES`` candidates is refused up front.
 The result cache keys a closure at the word level, so it needs no normal
 form: the cyclically reduced word, destabilized while its top generator
 occurs exactly once, then its least cyclic rotation.
@@ -27,10 +31,12 @@ handle reduction, braid relations and the key rule).
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 __all__ = [
     "BraidWord",
@@ -41,7 +47,9 @@ __all__ = [
     "NotDestabilizable",
     "EngineInconsistency",
     "TooManyStrands",
+    "TooManyConjugates",
     "MAX_STRANDS",
+    "MAX_CONJUGATES",
     "parse_braid_word",
     "free_reduce",
     "cyclic_reduce",
@@ -307,16 +315,18 @@ class GarsideNormalForm:
     infimum: int
     factors: tuple[Perm, ...]
 
-    def artin_word(self) -> tuple[int, ...]:
-        """An Artin word representing the same element."""
+    def artin_word(self, spell: Callable[[Perm], tuple[int, ...]]
+                   = permutation_braid_word) -> tuple[int, ...]:
+        """An Artin word representing the same element, each simple element
+        spelled by ``spell``."""
         word: list[int] = []
         if self.infimum:
-            delta = permutation_braid_word(_half_twist(self.strands))
+            delta = spell(_half_twist(self.strands))
             if self.infimum < 0:
                 delta = tuple(-e for e in reversed(delta))
             word.extend(delta * abs(self.infimum))
         for f in self.factors:
-            word.extend(permutation_braid_word(f))
+            word.extend(spell(f))
         return tuple(word)
 
 
@@ -345,13 +355,25 @@ def _weigh(a: Perm, b: Perm) -> tuple[Perm, Perm] | None:
     return (_perm_inv(a_inv), tuple(b)) if moved else None
 
 
-def _normalised(n: int, infimum: int, factors: list[Perm],
-                pairs: Iterable[int]) -> GarsideNormalForm:
+class _Simples(NamedTuple):
+    """The simple-element operations that the normal-form products call."""
+
+    weigh: Callable[[Perm, Perm], tuple[Perm, Perm] | None]
+    tau: Callable[[Perm], Perm]
+    inv: Callable[[Perm], Perm]
+
+
+_PLAIN = _Simples(_weigh, _tau, _perm_inv)
+
+
+def _normalised(n: int, infimum: int, factors: list[Perm], pairs: Iterable[int],
+                weigh: Callable[[Perm, Perm], tuple[Perm, Perm] | None]
+                ) -> GarsideNormalForm:
     """Weigh the pairs (k, k + 1) in the given order up to the first one
     already left-weighted, then drop trailing identities and absorb leading
     half twists into the infimum."""
     for k in pairs:
-        pair = _weigh(factors[k], factors[k + 1])
+        pair = weigh(factors[k], factors[k + 1])
         if pair is None:
             break
         factors[k], factors[k + 1] = pair
@@ -365,31 +387,34 @@ def _normalised(n: int, infimum: int, factors: list[Perm],
     return GarsideNormalForm(n, infimum + lead, tuple(factors[lead:]))
 
 
-def _right_product(nf: GarsideNormalForm, s: Perm, inverse: bool) -> GarsideNormalForm:
+def _right_product(nf: GarsideNormalForm, s: Perm, inverse: bool,
+                   ops: _Simples = _PLAIN) -> GarsideNormalForm:
     """Normal form of nf times the simple element s, or times s^{-1}."""
     infimum = nf.infimum
     factors = list(nf.factors)
     if inverse:
         # x s^{-1} = Delta^{-1} tau(x) (Delta s^{-1}), and Delta s^{-1} is simple.
         infimum -= 1
-        factors = [_tau(f) for f in factors]
-        s = _perm_mul(_half_twist(nf.strands), _perm_inv(s))
+        factors = list(map(ops.tau, factors))
+        s = _perm_mul(_half_twist(nf.strands), ops.inv(s))
     factors.append(s)
-    return _normalised(nf.strands, infimum, factors, range(len(factors) - 2, -1, -1))
+    return _normalised(nf.strands, infimum, factors, range(len(factors) - 2, -1, -1),
+                       ops.weigh)
 
 
-def _left_product(nf: GarsideNormalForm, s: Perm, inverse: bool) -> GarsideNormalForm:
+def _left_product(nf: GarsideNormalForm, s: Perm, inverse: bool,
+                  ops: _Simples = _PLAIN) -> GarsideNormalForm:
     """Normal form of the simple element s, or of s^{-1}, times nf."""
     infimum = nf.infimum
     if inverse:
         # s^{-1} = (s^{-1} Delta) Delta^{-1}, and s^{-1} Delta is simple.
         infimum -= 1
-        s = _perm_mul(_perm_inv(s), _half_twist(nf.strands))
+        s = _perm_mul(ops.inv(s), _half_twist(nf.strands))
     # s Delta^d = Delta^d tau^d(s).
     if infimum % 2:
-        s = _tau(s)
+        s = ops.tau(s)
     factors = [s, *nf.factors]
-    return _normalised(nf.strands, infimum, factors, range(len(factors) - 1))
+    return _normalised(nf.strands, infimum, factors, range(len(factors) - 1), ops.weigh)
 
 
 def garside_normal_form(w: BraidWord) -> GarsideNormalForm:
@@ -620,54 +645,103 @@ def scan_word(key_word: BraidWord) -> BraidWord:
 # Markov destabilization
 
 
+# Most candidates, rotations times 2 n!, that destabilize may search.  A
+# candidate costs more as its normal form grows: at the budget, a search that
+# finds nothing took about 0.1 s on 6 strands (6 letters) and 2 s on 3
+# strands (833 letters).  Words on 7 or more strands that need a search are
+# refused at any length.
+MAX_CONJUGATES = 10_000
+
+
+class TooManyConjugates(PreconditionFailed):
+    """The destabilization search would exceed ``MAX_CONJUGATES``."""
+
+
+def _rotation_normal_forms(n: int, letters: tuple[int, ...], ops: _Simples = _PLAIN):
+    """The normal form of each cyclic rotation of ``letters``, in order of
+    its start, one at least: rotation s + 1 is x^{-1} (rotation s) x for the
+    letter x = letters[s], so it takes one left and one right product."""
+    nf = garside_normal_form(BraidWord(n, letters))
+    yield nf
+    for x in letters[:-1]:
+        g = _transposition(n, abs(x))
+        nf = _right_product(_left_product(nf, g, x > 0, ops), g, x < 0, ops)
+        yield nf
+
+
+def _drop_single_top(n: int, letters: tuple[int, ...]) -> tuple[BraidWord, int] | None:
+    """``letters`` without its only sigma_{n-1}^{+-1}, and that letter's
+    sign; None unless there is exactly one."""
+    top = n - 1
+    if letters.count(top) + letters.count(-top) != 1:
+        return None
+    k = letters.index(top if top in letters else -top)
+    return BraidWord(n - 1, letters[:k] + letters[k + 1:]), _sign(letters[k])
+
+
 def destabilize(w: BraidWord) -> tuple[BraidWord, int]:
     """Remove one strand by a Markov destabilization.
 
     Looks for a conjugate of w in which sigma_{n-1}^{+-1} occurs exactly
     once.  Each cyclic rotation of the cyclically reduced word is conjugated
-    by the empty word and by every permutation braid of B_n and its inverse;
-    both the cyclic reduction of each conjugate and that of its Garside
-    normal-form word are examined, in that order.  Each rotation is
-    normalised once; as every conjugator is a simple element or its inverse,
-    a conjugate's normal form follows from the rotation's by one left and
-    one right simple-element product.  Returns the (n-1)-strand word and the
-    sign of the removed crossing.
+    by the empty word and by every permutation braid of B_n and its inverse,
+    and the cyclic reduction of each conjugate's Garside normal-form word is
+    examined, in that order.  The cyclic reduction of a conjugate word is a
+    rotation of the reduced word, with the same letter counts, so the
+    conjugate words are looked at once, as the reduced word itself.
+
+    Rotation s + 1 is x^{-1} (rotation s) x for the letter x that moves to
+    the back, and every conjugator is a simple element or its inverse, so
+    only the first rotation is normalised from its word: each further
+    normal form is one left and one right simple-element product, with the
+    simple-element operations memoised for the call.  A normal form met
+    before is skipped.  One with a nonnegative infimum spells a positive
+    word, which cyclic reduction keeps, so its sigma_{n-1} count is summed
+    over its factors, and its word is spelled only if that count is 1.
+
+    A search over ``MAX_CONJUGATES`` candidates, rotations times 2 n!, is
+    refused with ``TooManyConjugates`` before anything is enumerated.  The
+    cost of a candidate grows with the length of its normal form.  Returns
+    the (n-1)-strand word and the sign of the removed crossing.
     """
     n = w.strands
     if n < 2:
         raise NotDestabilizable("nothing to destabilize on one strand")
-    top = n - 1
-
-    # (letters c, letters of c^{-1}, permutation of P, whether c spells P^{-1})
-    conjugators: list[tuple] = [((), (), None, False)]
-    for p in itertools.permutations(range(n)):
-        word = permutation_braid_word(p)
-        if word:
-            inv = tuple(-e for e in reversed(word))
-            conjugators.append((word, inv, p, False))
-            conjugators.append((inv, word, p, True))
-
     reduced = _cyclic_reduce(w.letters)
-    seen: set[tuple[int, ...]] = set()
-    for s in range(max(1, len(reduced))):
-        rotated = reduced[s:] + reduced[:s]
-        nf = garside_normal_form(BraidWord(n, rotated))
-        for c, c_inv, p, inverse in conjugators:
+    found = _drop_single_top(n, reduced)
+    if found:
+        return found
+    candidates = max(1, len(reduced)) * 2 * math.factorial(n)
+    if candidates > MAX_CONJUGATES:
+        raise TooManyConjugates(
+            f"destabilizing would search {candidates} conjugates, over the "
+            f"budget of {MAX_CONJUGATES}"
+        )
+
+    spelled = {p: permutation_braid_word(p) for p in itertools.permutations(range(n))}
+    tops = {p: word.count(n - 1) for p, word in spelled.items()}
+    conjugators = [(None, False)] + [(p, inverse) for p, word in spelled.items()
+                                     if word for inverse in (False, True)]
+    delta_tops = tops[_half_twist(n)]
+    ops = _Simples(*map(functools.cache, _PLAIN))
+    looked: set[GarsideNormalForm] = set()
+    for nf in _rotation_normal_forms(n, reduced, ops):
+        for p, inverse in conjugators:
             conj_nf = nf if p is None else _right_product(
-                _left_product(nf, p, inverse), p, not inverse
+                _left_product(nf, p, inverse, ops), p, not inverse, ops
             )
-            for letters in (_cyclic_reduce(c + rotated + c_inv),
-                            _cyclic_reduce(conj_nf.artin_word())):
-                if letters in seen:
-                    continue
-                seen.add(letters)
-                hits = [k for k, e in enumerate(letters) if abs(e) == top]
-                if len(hits) == 1:
-                    k = hits[0]
-                    sign = 1 if letters[k] > 0 else -1
-                    return BraidWord(n - 1, letters[:k] + letters[k + 1:]), sign
+            if conj_nf in looked:
+                continue
+            looked.add(conj_nf)
+            d = conj_nf.infimum
+            if d >= 0 and d * delta_tops + sum(map(tops.__getitem__, conj_nf.factors)) != 1:
+                continue
+            found = _drop_single_top(
+                n, _cyclic_reduce(conj_nf.artin_word(spelled.__getitem__)))
+            if found:
+                return found
     raise NotDestabilizable(
-        f"no representative with a single sigma_{top}^{{+-1}} found"
+        f"no representative with a single sigma_{n - 1}^{{+-1}} found"
     )
 
 

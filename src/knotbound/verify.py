@@ -369,10 +369,11 @@ def _c_triple_structure():
         plus = braid.bm_minus_word(*tup)   # positive crossing at the site
         minus = braid.bm_plus_word(*tup)   # negative crossing at the site
         zero = braid.bm_zero_word(*tup)
-        resid = a * homfly(minus) - a_inv * homfly(plus) - z * homfly(zero)
+        p_minus = homfly(minus)
+        resid = a * p_minus - a_inv * homfly(plus) - z * homfly(zero)
         if not resid.is_zero():
             return False, f"triple at {tup} violates the skein relation"
-        if homfly(minus) != homfly(braid.bm_word(*tup)):
+        if p_minus != homfly(braid.bm_word(*tup)):
             return False, f"negative-site member differs from the closure at {tup}"
     return True, "three-member site structure and base-diagram identification"
 

@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 
 from knotbound import braid
 from knotbound.braid import (
+    MAX_CONJUGATES,
     SCAN_CANDIDATES,
     BraidError,
     BraidWord,
     FAMILIES,
     GarsideNormalForm,
     NotDestabilizable,
+    PreconditionFailed,
     QPFactorization,
+    TooManyConjugates,
     _half_twist,
     _identity,
     _least_rotation,
@@ -22,6 +25,7 @@ from knotbound.braid import (
     _perm_inv,
     _perm_mul,
     _right_product,
+    _rotation_normal_forms,
     _tau,
     _transposition,
     bm_minus_word,
@@ -504,8 +508,40 @@ def destabilization_inputs(draw):
 @example(bm_zero_word(1, 1, 1, 1))
 @example(bm_minus_word(2, 0, 1, 2))
 @example(bm_zero_word(0, 2, 2, 1))
+# The first hits come at rotations 2 and 5, counted from 0.
+@example(bm_minus_word(1, 2, 1, 2))
+@example(bm_zero_word(1, 2, 1, 2))
+# No hit: the whole search order is compared.
+@example(BraidWord(4, (1, 1, 1, 2, 2, 2, 3, 3, 3)))
+# The hit is the word of a normal form with infimum -1.
+@example(BraidWord(3, (-1,)))
 def test_destabilize_matches_word_search(w):
     assert _outcome(destabilize, w) == _outcome(_destabilize_by_words, w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_sign_words())
+@example(BraidWord(4, (1, -3, 2, -1, 3, 3, -2)))
+def test_rotation_normal_forms_match_each_rotation(w):
+    letters = w.letters
+    rotations = [letters[s:] + letters[:s] for s in range(max(1, len(letters)))]
+    assert list(_rotation_normal_forms(w.strands, letters)) == [
+        garside_normal_form(w.with_letters(r)) for r in rotations]
+
+
+def test_destabilize_refuses_a_large_search_at_once(monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("an oversized search must be refused before it starts")
+
+    monkeypatch.setattr(braid, "garside_normal_form", refuse)
+    monkeypatch.setattr(braid, "permutation_braid_word", refuse)
+    # 2 * 9! conjugates for the one rotation of each word.
+    for letters in ((8, 8), (1, 2, 3)):
+        with pytest.raises(TooManyConjugates, match=f"budget of {MAX_CONJUGATES}"):
+            destabilize(BraidWord(9, letters))
+    assert issubclass(TooManyConjugates, PreconditionFailed)
+    # A word with its top generator once needs no search.
+    assert destabilize(BraidWord(9, (8, 1, 2))) == (BraidWord(8, (1, 2)), 1)
 
 
 def test_destabilize_simple():

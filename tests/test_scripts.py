@@ -71,3 +71,12 @@ def test_seifert_timing_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == len(seifert_timing.shapes(1, 256)) + 1
     assert lines[-1] == f"slowest at 256 rows, seed 1: {name}, {seconds:.4f} s"
+
+
+def test_destab_timing_runs(capsys):
+    destab_timing = load_script("destab_timing")
+    total = destab_timing.report(repeats=1)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(destab_timing.words()) + 1
+    assert [line.split()[-3] for line in lines[:-1]] == ["strands"] * 6 + ["none"] * 3
+    assert lines[-1] == f"Section 3 words, best of 1: {total * 1e3:.2f} ms"
