@@ -12,14 +12,11 @@ factor a permutation braid encoded by its permutation in one-line notation.
 A normal form times a simple element, on either side, takes one pass of
 pair normalisations (Elrifai and Morton, "Algorithms for positive braids",
 Quart. J. Math. Oxford 45, 1994; Epstein et al., "Word Processing in
-Groups", 1992, ch. 9).  So a word is normalised letter by letter.
-Destabilization normalises only the first cyclic rotation from its word:
-the next rotation is a conjugate by one letter, and every conjugate it
-tries is by a permutation braid or its inverse, so each further normal form
-is one left and one right simple-element product, with the simple-element
-operations memoised for the call.  Each distinct normal form is looked at
-once, and its word is spelled only when its letter counts allow a hit.  A
-search of more than ``MAX_CONJUGATES`` candidates is refused up front.
+Groups", 1992, ch. 9).  That arithmetic lives in a ``_Garside`` context,
+which one computation owns together with the memos of its simple-element
+operations.  A word is normalised letter by letter; a destabilization
+search normalises one word and reaches every other rotation and conjugate
+it tries by one ``conjugate`` step (see ``destabilize``).
 The result cache keys a closure at the word level, so it needs no normal
 form: the cyclically reduced word, destabilized while its top generator
 occurs exactly once, then its least cyclic rotation.
@@ -36,7 +33,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 __all__ = [
     "BraidWord",
@@ -50,6 +47,8 @@ __all__ = [
     "TooManyConjugates",
     "MAX_STRANDS",
     "MAX_CONJUGATES",
+    "MAX_FAMILY_LETTERS",
+    "FamilyTooLong",
     "parse_braid_word",
     "free_reduce",
     "cyclic_reduce",
@@ -315,19 +314,9 @@ class GarsideNormalForm:
     infimum: int
     factors: tuple[Perm, ...]
 
-    def artin_word(self, spell: Callable[[Perm], tuple[int, ...]]
-                   = permutation_braid_word) -> tuple[int, ...]:
-        """An Artin word representing the same element, each simple element
-        spelled by ``spell``."""
-        word: list[int] = []
-        if self.infimum:
-            delta = spell(_half_twist(self.strands))
-            if self.infimum < 0:
-                delta = tuple(-e for e in reversed(delta))
-            word.extend(delta * abs(self.infimum))
-        for f in self.factors:
-            word.extend(spell(f))
-        return tuple(word)
+    def artin_word(self) -> tuple[int, ...]:
+        """An Artin word representing the same element."""
+        return _Garside(self.strands).spell(self)
 
 
 def _weigh(a: Perm, b: Perm) -> tuple[Perm, Perm] | None:
@@ -355,66 +344,80 @@ def _weigh(a: Perm, b: Perm) -> tuple[Perm, Perm] | None:
     return (_perm_inv(a_inv), tuple(b)) if moved else None
 
 
-class _Simples(NamedTuple):
-    """The simple-element operations that the normal-form products call."""
+class _Garside:
+    """The simple-element arithmetic of B_n for one computation: the
+    identity and the half twist, built once, and memos of the operations on
+    simple elements that live as long as the object."""
 
-    weigh: Callable[[Perm, Perm], tuple[Perm, Perm] | None]
-    tau: Callable[[Perm], Perm]
-    inv: Callable[[Perm], Perm]
+    def __init__(self, n: int):
+        self.n = n
+        self.identity = _identity(n)
+        self.delta = _half_twist(n)
+        self.weigh = functools.cache(_weigh)
+        self.tau = functools.cache(_tau)
+        self.inv = functools.cache(_perm_inv)
+        self.word = functools.cache(permutation_braid_word)
 
+    def _normalised(self, infimum: int, factors: list[Perm],
+                    pairs: Iterable[int]) -> GarsideNormalForm:
+        """Weigh the pairs (k, k + 1) in the given order up to the first one
+        already left-weighted, then drop trailing identities and absorb
+        leading half twists into the infimum."""
+        for k in pairs:
+            pair = self.weigh(factors[k], factors[k + 1])
+            if pair is None:
+                break
+            factors[k], factors[k + 1] = pair
+        while factors and factors[-1] == self.identity:
+            factors.pop()
+        lead = 0
+        while lead < len(factors) and factors[lead] == self.delta:
+            lead += 1
+        return GarsideNormalForm(self.n, infimum + lead, tuple(factors[lead:]))
 
-_PLAIN = _Simples(_weigh, _tau, _perm_inv)
+    def right(self, nf: GarsideNormalForm, s: Perm, inverse: bool) -> GarsideNormalForm:
+        """Normal form of nf times the simple element s, or times s^{-1}."""
+        infimum = nf.infimum
+        factors = list(nf.factors)
+        if inverse:
+            # x s^{-1} = Delta^{-1} tau(x) (Delta s^{-1}), and Delta s^{-1} is simple.
+            infimum -= 1
+            factors = list(map(self.tau, factors))
+            s = _perm_mul(self.delta, self.inv(s))
+        return self._normalised(infimum, [*factors, s], range(len(factors) - 1, -1, -1))
 
+    def left(self, nf: GarsideNormalForm, s: Perm, inverse: bool) -> GarsideNormalForm:
+        """Normal form of the simple element s, or of s^{-1}, times nf."""
+        infimum = nf.infimum
+        if inverse:
+            # s^{-1} = (s^{-1} Delta) Delta^{-1}, and s^{-1} Delta is simple.
+            infimum -= 1
+            s = _perm_mul(self.inv(s), self.delta)
+        # s Delta^d = Delta^d tau^d(s).
+        if infimum % 2:
+            s = self.tau(s)
+        return self._normalised(infimum, [s, *nf.factors], range(len(nf.factors)))
 
-def _normalised(n: int, infimum: int, factors: list[Perm], pairs: Iterable[int],
-                weigh: Callable[[Perm, Perm], tuple[Perm, Perm] | None]
-                ) -> GarsideNormalForm:
-    """Weigh the pairs (k, k + 1) in the given order up to the first one
-    already left-weighted, then drop trailing identities and absorb leading
-    half twists into the infimum."""
-    for k in pairs:
-        pair = weigh(factors[k], factors[k + 1])
-        if pair is None:
-            break
-        factors[k], factors[k + 1] = pair
-    ident = _identity(n)
-    while factors and factors[-1] == ident:
-        factors.pop()
-    delta = _half_twist(n)
-    lead = 0
-    while lead < len(factors) and factors[lead] == delta:
-        lead += 1
-    return GarsideNormalForm(n, infimum + lead, tuple(factors[lead:]))
+    def conjugate(self, nf: GarsideNormalForm, s: Perm, inverse: bool) -> GarsideNormalForm:
+        """Normal form of s nf s^{-1}, or of s^{-1} nf s."""
+        return self.right(self.left(nf, s, inverse), s, not inverse)
 
+    def rotations(self, letters: tuple[int, ...]):
+        """The normal form of each cyclic rotation of ``letters``, in order of
+        its start, one at least: rotation s + 1 is x^{-1} (rotation s) x for
+        the letter x = letters[s]."""
+        nf = garside_normal_form(BraidWord(self.n, letters))
+        yield nf
+        for x in letters[:-1]:
+            nf = self.conjugate(nf, _transposition(self.n, abs(x)), x > 0)
+            yield nf
 
-def _right_product(nf: GarsideNormalForm, s: Perm, inverse: bool,
-                   ops: _Simples = _PLAIN) -> GarsideNormalForm:
-    """Normal form of nf times the simple element s, or times s^{-1}."""
-    infimum = nf.infimum
-    factors = list(nf.factors)
-    if inverse:
-        # x s^{-1} = Delta^{-1} tau(x) (Delta s^{-1}), and Delta s^{-1} is simple.
-        infimum -= 1
-        factors = list(map(ops.tau, factors))
-        s = _perm_mul(_half_twist(nf.strands), ops.inv(s))
-    factors.append(s)
-    return _normalised(nf.strands, infimum, factors, range(len(factors) - 2, -1, -1),
-                       ops.weigh)
-
-
-def _left_product(nf: GarsideNormalForm, s: Perm, inverse: bool,
-                  ops: _Simples = _PLAIN) -> GarsideNormalForm:
-    """Normal form of the simple element s, or of s^{-1}, times nf."""
-    infimum = nf.infimum
-    if inverse:
-        # s^{-1} = (s^{-1} Delta) Delta^{-1}, and s^{-1} Delta is simple.
-        infimum -= 1
-        s = _perm_mul(ops.inv(s), _half_twist(nf.strands))
-    # s Delta^d = Delta^d tau^d(s).
-    if infimum % 2:
-        s = ops.tau(s)
-    factors = [s, *nf.factors]
-    return _normalised(nf.strands, infimum, factors, range(len(factors) - 1), ops.weigh)
+    def spell(self, nf: GarsideNormalForm) -> tuple[int, ...]:
+        """An Artin word for nf."""
+        delta = self.word(self.delta)
+        if nf.infimum < 0:
+            delta = tuple(-e for e in reversed(delta))
+        return tuple(itertools.chain(delta * abs(nf.infimum), *map(self.word, nf.factors)))
 
 
 def garside_normal_form(w: BraidWord) -> GarsideNormalForm:
@@ -426,9 +429,10 @@ def garside_normal_form(w: BraidWord) -> GarsideNormalForm:
     already left-weighted, keeps the factors left-weighted.
     """
     n = w.strands
+    garside = _Garside(n)
     nf = GarsideNormalForm(n, 0, ())
     for e in w.letters:
-        nf = _right_product(nf, _transposition(n, abs(e)), e < 0)
+        nf = garside.right(nf, _transposition(n, abs(e)), e < 0)
     return nf
 
 
@@ -459,9 +463,8 @@ def _least_rotation(letters: tuple[int, ...]) -> int:
 def _closure_key(n: int, letters: tuple[int, ...]) -> tuple:
     """``canonical_closure_key`` of the word ``letters`` on ``n`` strands."""
     letters = _cyclic_reduce(letters)
-    while n > 1 and letters.count(n - 1) + letters.count(1 - n) == 1:
-        k = letters.index(n - 1 if n - 1 in letters else 1 - n)
-        letters = _cyclic_reduce(letters[k + 1:] + letters[:k])
+    while found := _drop_single_top(n, letters):
+        letters = _cyclic_reduce(found[0])
         n -= 1
     s = _least_rotation(letters)
     return (n, letters[s:] + letters[:s])
@@ -657,47 +660,59 @@ class TooManyConjugates(PreconditionFailed):
     """The destabilization search would exceed ``MAX_CONJUGATES``."""
 
 
-def _rotation_normal_forms(n: int, letters: tuple[int, ...], ops: _Simples = _PLAIN):
-    """The normal form of each cyclic rotation of ``letters``, in order of
-    its start, one at least: rotation s + 1 is x^{-1} (rotation s) x for the
-    letter x = letters[s], so it takes one left and one right product."""
-    nf = garside_normal_form(BraidWord(n, letters))
-    yield nf
-    for x in letters[:-1]:
-        g = _transposition(n, abs(x))
-        nf = _right_product(_left_product(nf, g, x > 0, ops), g, x < 0, ops)
-        yield nf
+def _conjugate_words(n: int, reduced: tuple[int, ...]):
+    """The cyclically reduced conjugate words that ``destabilize`` searches, in
+    order, if their letter counts allow a hit; refuses an oversized search."""
+    candidates = max(1, len(reduced)) * 2 * math.factorial(n)
+    if candidates > MAX_CONJUGATES:
+        raise TooManyConjugates(
+            f"destabilizing would search {candidates} conjugates, over the "
+            f"budget of {MAX_CONJUGATES}"
+        )
+    garside = _Garside(n)
+    perms = list(itertools.permutations(range(n)))  # the identity first
+    tops = {p: garside.word(p).count(n - 1) for p in perms}
+    delta_tops = tops[garside.delta]
+    looked: set[GarsideNormalForm] = set()
+    for nf in garside.rotations(reduced):
+        for conj_nf in itertools.chain([nf], (garside.conjugate(nf, p, inverse)
+                                              for p in perms[1:] for inverse in (False, True))):
+            if conj_nf in looked:
+                continue
+            looked.add(conj_nf)
+            d = conj_nf.infimum
+            if d >= 0 and d * delta_tops + sum(map(tops.__getitem__, conj_nf.factors)) != 1:
+                continue
+            yield _cyclic_reduce(garside.spell(conj_nf))
 
 
-def _drop_single_top(n: int, letters: tuple[int, ...]) -> tuple[BraidWord, int] | None:
+def _drop_single_top(n: int, letters: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
     """``letters`` without its only sigma_{n-1}^{+-1}, and that letter's
     sign; None unless there is exactly one."""
     top = n - 1
     if letters.count(top) + letters.count(-top) != 1:
         return None
     k = letters.index(top if top in letters else -top)
-    return BraidWord(n - 1, letters[:k] + letters[k + 1:]), _sign(letters[k])
+    return letters[:k] + letters[k + 1:], _sign(letters[k])
 
 
 def destabilize(w: BraidWord) -> tuple[BraidWord, int]:
     """Remove one strand by a Markov destabilization.
 
     Looks for a conjugate of w in which sigma_{n-1}^{+-1} occurs exactly
-    once.  Each cyclic rotation of the cyclically reduced word is conjugated
-    by the empty word and by every permutation braid of B_n and its inverse,
-    and the cyclic reduction of each conjugate's Garside normal-form word is
-    examined, in that order.  The cyclic reduction of a conjugate word is a
-    rotation of the reduced word, with the same letter counts, so the
-    conjugate words are looked at once, as the reduced word itself.
-
-    Rotation s + 1 is x^{-1} (rotation s) x for the letter x that moves to
-    the back, and every conjugator is a simple element or its inverse, so
-    only the first rotation is normalised from its word: each further
-    normal form is one left and one right simple-element product, with the
-    simple-element operations memoised for the call.  A normal form met
-    before is skipped.  One with a nonnegative infimum spells a positive
-    word, which cyclic reduction keeps, so its sigma_{n-1} count is summed
-    over its factors, and its word is spelled only if that count is 1.
+    once: first the cyclically reduced word, then, in one ``_Garside``
+    context, the normal-form word of each cyclic rotation conjugated by the
+    empty word and by every permutation braid of B_n and its inverse, in
+    that order, each cyclically reduced.  (The cyclic reduction of a
+    conjugate word is a rotation of the reduced word, with the same letter
+    counts, so the reduced word stands for them all.)  Only the first
+    rotation is normalised from its word: rotation s + 1 is
+    x^{-1} (rotation s) x for the letter x that moves to the back, and every
+    conjugator is simple or the inverse of one, so each further normal form
+    is one ``conjugate`` step.  A normal form met before is skipped.  One
+    with a nonnegative infimum spells a positive word, which cyclic
+    reduction keeps, so its sigma_{n-1} count is summed over its factors,
+    and its word is spelled only if that count is 1.
 
     A search over ``MAX_CONJUGATES`` candidates, rotations times 2 n!, is
     refused with ``TooManyConjugates`` before anything is enumerated.  The
@@ -708,38 +723,10 @@ def destabilize(w: BraidWord) -> tuple[BraidWord, int]:
     if n < 2:
         raise NotDestabilizable("nothing to destabilize on one strand")
     reduced = _cyclic_reduce(w.letters)
-    found = _drop_single_top(n, reduced)
-    if found:
-        return found
-    candidates = max(1, len(reduced)) * 2 * math.factorial(n)
-    if candidates > MAX_CONJUGATES:
-        raise TooManyConjugates(
-            f"destabilizing would search {candidates} conjugates, over the "
-            f"budget of {MAX_CONJUGATES}"
-        )
-
-    spelled = {p: permutation_braid_word(p) for p in itertools.permutations(range(n))}
-    tops = {p: word.count(n - 1) for p, word in spelled.items()}
-    conjugators = [(None, False)] + [(p, inverse) for p, word in spelled.items()
-                                     if word for inverse in (False, True)]
-    delta_tops = tops[_half_twist(n)]
-    ops = _Simples(*map(functools.cache, _PLAIN))
-    looked: set[GarsideNormalForm] = set()
-    for nf in _rotation_normal_forms(n, reduced, ops):
-        for p, inverse in conjugators:
-            conj_nf = nf if p is None else _right_product(
-                _left_product(nf, p, inverse, ops), p, not inverse, ops
-            )
-            if conj_nf in looked:
-                continue
-            looked.add(conj_nf)
-            d = conj_nf.infimum
-            if d >= 0 and d * delta_tops + sum(map(tops.__getitem__, conj_nf.factors)) != 1:
-                continue
-            found = _drop_single_top(
-                n, _cyclic_reduce(conj_nf.artin_word(spelled.__getitem__)))
-            if found:
-                return found
+    for letters in itertools.chain([reduced], _conjugate_words(n, reduced)):
+        found = _drop_single_top(n, letters)
+        if found:
+            return BraidWord(n - 1, found[0]), found[1]
     raise NotDestabilizable(
         f"no representative with a single sigma_{n - 1}^{{+-1}} found"
     )
@@ -749,6 +736,21 @@ def destabilize(w: BraidWord) -> tuple[BraidWord, int]:
 # Braid families
 
 RESOLUTION_LABELS = ("+", "-", "0", "0-", "00", "0--", "0-0")
+
+# Most letters a family word may have, counted from the parameters before the
+# word is built.  At the budget, ``family torus2 --q 1000000`` takes 0.3 s.
+MAX_FAMILY_LETTERS = 1_000_000
+
+
+class FamilyTooLong(PreconditionFailed):
+    """The family word would have more than ``MAX_FAMILY_LETTERS`` letters."""
+
+
+def _admit(letters: int) -> None:
+    if letters > MAX_FAMILY_LETTERS:
+        raise FamilyTooLong(f"the family word would have {letters} letters, over "
+                            f"the budget of {MAX_FAMILY_LETTERS}")
+
 
 # Skein-resolution diagrams of the closure of (s1 s2 s2 s1)^2 s1 s2^-3,
 # indexed by which crossings of the tail were switched/smoothed.
@@ -774,6 +776,7 @@ def elrifai_k_word(k: int) -> BraidWord:
     """(s1 s2 s2 s1)^{2k} s1 s2^{-2k-1} on three strands."""
     if k < 1:
         raise BraidError("elrifai-k requires k >= 1")
+    _admit(10 * k + 2)
     letters = (1, 2, 2, 1) * (2 * k) + (1,) + _power(2, -(2 * k + 1))
     return BraidWord(3, letters)
 
@@ -782,25 +785,21 @@ def elrifai_l_word(k: int) -> BraidWord:
     """(s1 s2 s2 s1)^{2k+1} s1 s2^{-2k+1} on three strands."""
     if k < 1:
         raise BraidError("elrifai-l requires k >= 1")
+    _admit(10 * k + 4)
     letters = (1, 2, 2, 1) * (2 * k + 1) + (1,) + _power(2, -2 * k + 1)
     return BraidWord(3, letters)
 
 
 def bm_word(x: int, y: int, z: int, w: int) -> BraidWord:
     """s1^x s2^y s3^{-1} s2^z s1^w s2 s3 s2 s2 s3 on four strands."""
-    letters = (
-        _power(1, x)
-        + _power(2, y)
-        + (-3,)
-        + _power(2, z)
-        + _power(1, w)
-        + (2, 3, 2, 2, 3)
-    )
-    return BraidWord(4, letters)
+    _admit(abs(x) + abs(y) + abs(z) + abs(w) + 6)
+    letters = _power(1, x) + _power(2, y) + (-3,) + _power(2, z) + _power(1, w)
+    return BraidWord(4, letters + (2, 3, 2, 2, 3))
 
 
 def torus2_word(q: int) -> BraidWord:
     """s1^q on two strands: the (2, q) torus closure."""
+    _admit(abs(q))
     return BraidWord(2, _power(1, q))
 
 

@@ -14,6 +14,7 @@ values are frozen here and nowhere else.
 from __future__ import annotations
 
 import functools
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -109,16 +110,35 @@ SIGMA_DET_TABLE = {
 }
 
 
-@functools.cache
+# Values that several claims share, memoised for one ``run_claims`` call;
+# None outside a call, where nothing is memoised.
+_shared: ContextVar[Optional[dict]] = ContextVar("_shared", default=None)
+
+
+def _once(key, compute: Callable):
+    memo = _shared.get()
+    if memo is None:
+        return compute()
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
 def _res_seifert(label: str) -> tuple[int, int]:
     """(signature, determinant) of a resolution closure, shared by section 2."""
-    return seifert(braid.resolution_word(label))
+    return _once(("seifert", label), lambda: seifert(braid.resolution_word(label)))
 
 
-@functools.cache
 def _main_khovanov() -> BigradedRanks:
     """Reduced Khovanov homology of the main knot, shared by section 2."""
-    return reduced_khovanov(braid_to_pd(braid.elrifai_k_word(1)))
+    return _once(("khovanov",), lambda: reduced_khovanov(braid_to_pd(braid.elrifai_k_word(1))))
+
+
+def _skein_residual(p_plus: LaurentPoly2, p_minus: LaurentPoly2,
+                    p_zero: LaurentPoly2) -> LaurentPoly2:
+    """a P(-) - a^{-1} P(+) - z P(0), zero on every skein triple."""
+    return (LaurentPoly2.monomial(1, 0) * p_minus - LaurentPoly2.monomial(-1, 0) * p_plus
+            - LaurentPoly2.monomial(0, 1) * p_zero)
 
 
 def euler_matches(w: BraidWord, ranks: Optional[BigradedRanks] = None) -> bool:
@@ -153,9 +173,6 @@ def _c_unknot_normalization():
 
 
 def _c_skein_residuals():
-    a = LaurentPoly2.monomial(1, 0)
-    a_inv = LaurentPoly2.monomial(-1, 0)
-    z = LaurentPoly2.monomial(0, 1)
     cases = [
         (BraidWord(2, (1, 1, 1)), 1),
         (BraidWord(3, (1, 2, 2, 1, 1, -2)), 5),
@@ -168,8 +185,7 @@ def _c_skein_residuals():
         w_plus = w.with_letters(head + (e,) + tail)
         w_minus = w.with_letters(head + (-e,) + tail)
         w_zero = w.with_letters(head + tail)
-        resid = a * homfly(w_minus) - a_inv * homfly(w_plus) - z * homfly(w_zero)
-        if not resid.is_zero():
+        if not _skein_residual(homfly(w_plus), homfly(w_minus), homfly(w_zero)).is_zero():
             return False, f"nonzero residual at site {pos} of {w}"
     return True, f"defining relation holds at {len(cases)} fixed sites"
 
@@ -362,16 +378,12 @@ def _c_resolution_identities():
 
 
 def _c_triple_structure():
-    a = LaurentPoly2.monomial(1, 0)
-    a_inv = LaurentPoly2.monomial(-1, 0)
-    z = LaurentPoly2.monomial(0, 1)
     for tup in [(1, 1, 1, 1), (2, 1, 1, 1), (1, 2, 1, 2)]:
         plus = braid.bm_minus_word(*tup)   # positive crossing at the site
         minus = braid.bm_plus_word(*tup)   # negative crossing at the site
         zero = braid.bm_zero_word(*tup)
         p_minus = homfly(minus)
-        resid = a * p_minus - a_inv * homfly(plus) - z * homfly(zero)
-        if not resid.is_zero():
+        if not _skein_residual(homfly(plus), p_minus, homfly(zero)).is_zero():
             return False, f"triple at {tup} violates the skein relation"
         if p_minus != homfly(braid.bm_word(*tup)):
             return False, f"negative-site member differs from the closure at {tup}"
@@ -395,18 +407,6 @@ def _destab_case(tup):
         f"both members lose one strand positively and match their stated "
         f"three-strand forms at {tup}"
     )
-
-
-def _c_destab_1111():
-    return _destab_case((1, 1, 1, 1))
-
-
-def _c_destab_2111():
-    return _destab_case((2, 1, 1, 1))
-
-
-def _c_destab_1212():
-    return _destab_case((1, 2, 1, 2))
 
 
 def _c_deficit_arithmetic():
@@ -542,9 +542,9 @@ SECTIONS: dict[int, list[Claim]] = {
     ],
     3: [
         Claim(3, "triple-structure", _c_triple_structure),
-        Claim(3, "destabilization-1-1-1-1", _c_destab_1111),
-        Claim(3, "destabilization-2-1-1-1", _c_destab_2111),
-        Claim(3, "destabilization-1-2-1-2", _c_destab_1212),
+        Claim(3, "destabilization-1-1-1-1", functools.partial(_destab_case, (1, 1, 1, 1))),
+        Claim(3, "destabilization-2-1-1-1", functools.partial(_destab_case, (2, 1, 1, 1))),
+        Claim(3, "destabilization-1-2-1-2", functools.partial(_destab_case, (1, 2, 1, 2))),
         Claim(3, "deficit-arithmetic", _c_deficit_arithmetic),
         Claim(3, "interval-chains", _c_interval_chains),
         Claim(3, "nonsharpness-certificate", _c_nonsharpness_certificate),
@@ -568,17 +568,21 @@ def run_claims(section: str = "all") -> list[dict]:
     else:
         wanted = SECTIONS[int(section)]
     results = []
-    for claim in wanted:
-        try:
-            ok, detail = claim.run()
-        except Exception as exc:  # a crash is a failure, not an abort
-            ok, detail = False, f"exception: {exc!r}"
-        results.append(
-            {
-                "section": claim.section,
-                "name": claim.name,
-                "passed": bool(ok),
-                "detail": detail,
-            }
-        )
+    token = _shared.set({})
+    try:
+        for claim in wanted:
+            try:
+                ok, detail = claim.run()
+            except Exception as exc:  # a crash is a failure, not an abort
+                ok, detail = False, f"exception: {exc!r}"
+            results.append(
+                {
+                    "section": claim.section,
+                    "name": claim.name,
+                    "passed": bool(ok),
+                    "detail": detail,
+                }
+            )
+    finally:
+        _shared.reset(token)
     return results

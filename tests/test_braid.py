@@ -3,7 +3,7 @@ import operator
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from knotbound import braid
@@ -18,14 +18,12 @@ from knotbound.braid import (
     PreconditionFailed,
     QPFactorization,
     TooManyConjugates,
+    _Garside,
     _half_twist,
     _identity,
     _least_rotation,
-    _left_product,
     _perm_inv,
     _perm_mul,
-    _right_product,
-    _rotation_normal_forms,
     _tau,
     _transposition,
     bm_minus_word,
@@ -275,13 +273,16 @@ def word_and_permutation(draw):
 def test_simple_products_match_normal_form(case):
     w, p = case
     nf = garside_normal_form(w)
+    garside = _Garside(w.strands)
     word = permutation_braid_word(p)
     inv = tuple(-e for e in reversed(word))
     for product, letters in (
-        (_left_product(nf, p, False), word + w.letters),
-        (_left_product(nf, p, True), inv + w.letters),
-        (_right_product(nf, p, False), w.letters + word),
-        (_right_product(nf, p, True), w.letters + inv),
+        (garside.left(nf, p, False), word + w.letters),
+        (garside.left(nf, p, True), inv + w.letters),
+        (garside.right(nf, p, False), w.letters + word),
+        (garside.right(nf, p, True), w.letters + inv),
+        (garside.conjugate(nf, p, False), word + w.letters + inv),
+        (garside.conjugate(nf, p, True), inv + w.letters + word),
     ):
         assert product == garside_normal_form(w.with_letters(letters))
 
@@ -526,8 +527,20 @@ def test_destabilize_matches_word_search(w):
 def test_rotation_normal_forms_match_each_rotation(w):
     letters = w.letters
     rotations = [letters[s:] + letters[:s] for s in range(max(1, len(letters)))]
-    assert list(_rotation_normal_forms(w.strands, letters)) == [
+    assert list(_Garside(w.strands).rotations(letters)) == [
         garside_normal_form(w.with_letters(r)) for r in rotations]
+
+
+@settings(max_examples=200, deadline=None)
+@given(destabilization_inputs())
+# u sigma_3 v where v u cancels across the seam.
+@example(BraidWord(4, (1, 3, 2, -1)))
+# Each drop leaves a single top generator for the next.
+@example(BraidWord(4, (2, 1, 3)))
+def test_key_of_a_single_top_word_is_the_key_of_its_destabilization(w):
+    top = w.strands - 1
+    assume(sum(abs(e) == top for e in cyclic_reduce(w).letters) == 1)
+    assert canonical_closure_key(w) == canonical_closure_key(destabilize(w)[0])
 
 
 def test_destabilize_refuses_a_large_search_at_once(monkeypatch):

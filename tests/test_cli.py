@@ -21,9 +21,11 @@ from hypothesis import strategies as st
 
 from knotbound import cli, khovanov
 from knotbound.braid import (
+    MAX_FAMILY_LETTERS,
     MAX_STRANDS,
     BraidError,
     BraidWord,
+    FamilyTooLong,
     PreconditionFailed,
     _half_twist,
     canonical_closure_key,
@@ -130,6 +132,37 @@ def test_family_unknown_kind_exit_2(capsys):
     assert (code, out) == (2, "")
 
 
+@pytest.mark.parametrize("argv, letters", [
+    (["torus2", "--q", "1000000000"], 10**9),
+    (["elrifai-k", "--k", "1000000000"], 10**10 + 2),
+    (["elrifai-l", "--k", "1000000000"], 10**10 + 4),
+    (["bm", "--x", "1000000000", "--y", "1", "--z", "1", "--w", "1"], 10**9 + 9),
+], ids=["q", "k", "k-l", "x"])
+def test_family_letter_budget_checked_before_building(argv, letters):
+    # Under a 1 GiB address limit, a word of 10^9 letters cannot be built:
+    # it must be refused from its parameters.
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "knotbound.cli", "family", *argv, "--emit", "word"],
+        capture_output=True, text=True, preexec_fn=limit_memory, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(khovanov.__file__).parents[1])},
+    )
+    assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr
+    assert proc.stderr == (f"precondition failed: the family word would have {letters} "
+                           f"letters, over the budget of {MAX_FAMILY_LETTERS}\n")
+    assert issubclass(FamilyTooLong, PreconditionFailed)
+
+
+def test_family_letter_budget_admits_its_bound(capsys):
+    q = str(MAX_FAMILY_LETTERS)
+    code, out, _ = run(capsys, ["family", "torus2", "--q", q, "--emit", "word"])
+    assert code == 0 and out.count("1") == MAX_FAMILY_LETTERS
+    code, _, err = run(capsys, ["family", "torus2", "--q", str(MAX_FAMILY_LETTERS + 1)])
+    assert code == 3 and "budget" in err
+
+
 def test_parser_built_once():
     assert build_parser() is build_parser()
 
@@ -225,6 +258,7 @@ def test_verify_section_two_has_ten_checks(capsys):
 
 
 def test_verify_section_two_computes_main_khovanov_once(monkeypatch):
+    # Once per run_claims call: the memo does not outlive the call.
     import knotbound.verify as verify
     from knotbound.braid import elrifai_k_word
     from knotbound.khovanov import braid_to_pd, reduced_khovanov
@@ -237,10 +271,10 @@ def test_verify_section_two_computes_main_khovanov_once(monkeypatch):
         return reduced_khovanov(pd)
 
     monkeypatch.setattr(verify, "reduced_khovanov", counting)
-    verify._main_khovanov.cache_clear()
-    results = verify.run_claims("2")
-    assert all(r["passed"] for r in results)
-    assert sum(calls) == 1
+    for calls_so_far in (1, 2):
+        results = verify.run_claims("2")
+        assert all(r["passed"] for r in results)
+        assert sum(calls) == calls_so_far
 
 
 def counted_eliminations(monkeypatch) -> list:
@@ -261,7 +295,6 @@ def test_verify_section_two_eliminates_each_resolution_once(monkeypatch):
     import knotbound.verify as verify
 
     calls = counted_eliminations(monkeypatch)
-    verify._res_seifert.cache_clear()
     results = verify.run_claims("2")
     assert all(r["passed"] for r in results)
     assert len(calls) == len(verify.SIGMA_DET_TABLE)

@@ -80,3 +80,14 @@ def test_destab_timing_runs(capsys):
     assert len(lines) == len(destab_timing.words()) + 1
     assert [line.split()[-3] for line in lines[:-1]] == ["strands"] * 6 + ["none"] * 3
     assert lines[-1] == f"Section 3 words, best of 1: {total * 1e3:.2f} ms"
+
+
+def test_parity_against_its_own_tree_finds_no_mismatch(capsys):
+    parity = load_script("parity")
+    counts = parity.compare(ROOT, seed=1, sizes=(40, 60, 20))
+    assert counts == {"destabilize": 0, "canonical_closure_key": 0, "cli": 0}
+    assert capsys.readouterr().out.splitlines() == [
+        f"destabilize: 0 mismatches in {40 + 2 * 81} inputs",
+        "canonical_closure_key: 0 mismatches in 60 inputs",
+        "cli: 0 mismatches in 20 inputs",
+    ]
