@@ -36,8 +36,9 @@ import knotbound.braid  # noqa: E402
 import knotbound.cli  # noqa: E402
 
 BASE_PACKAGE = "knotbound_base"
-# Inputs per part: destabilize words (besides the bm members), key words and
-# command lines.
+# Seed of the inputs, and inputs per part: destabilize words (besides the
+# bm members), key words and command lines.
+SEED = 1
 SIZES = (3000, 5000, 300)
 
 
@@ -184,9 +185,8 @@ def main() -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--base", type=Path, required=True,
                         help="checkout whose src/knotbound to compare against")
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
-    counts = compare(args.base.resolve(), args.seed, SIZES)
+    counts = compare(args.base.resolve(), SEED, SIZES)
     return 1 if any(counts.values()) else 0
 
 

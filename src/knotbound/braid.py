@@ -414,7 +414,7 @@ class _Garside:
 
     def spell(self, nf: GarsideNormalForm) -> tuple[int, ...]:
         """An Artin word for nf."""
-        delta = self.word(self.delta)
+        delta = self.word(self.delta) if nf.infimum else ()
         if nf.infimum < 0:
             delta = tuple(-e for e in reversed(delta))
         return tuple(itertools.chain(delta * abs(nf.infimum), *map(self.word, nf.factors)))

@@ -14,7 +14,6 @@ values are frozen here and nowhere else.
 from __future__ import annotations
 
 import functools
-from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -110,28 +109,18 @@ SIGMA_DET_TABLE = {
 }
 
 
-# Values that several claims share, memoised for one ``run_claims`` call;
-# None outside a call, where nothing is memoised.
-_shared: ContextVar[Optional[dict]] = ContextVar("_shared", default=None)
-
-
-def _once(key, compute: Callable):
-    memo = _shared.get()
-    if memo is None:
-        return compute()
-    if key not in memo:
-        memo[key] = compute()
-    return memo[key]
-
-
+# Values that several claims share, memoised for one ``run_claims`` call:
+# ``run_claims`` clears both memos when it returns.
+@functools.cache
 def _res_seifert(label: str) -> tuple[int, int]:
     """(signature, determinant) of a resolution closure, shared by section 2."""
-    return _once(("seifert", label), lambda: seifert(braid.resolution_word(label)))
+    return seifert(braid.resolution_word(label))
 
 
+@functools.cache
 def _main_khovanov() -> BigradedRanks:
     """Reduced Khovanov homology of the main knot, shared by section 2."""
-    return _once(("khovanov",), lambda: reduced_khovanov(braid_to_pd(braid.elrifai_k_word(1))))
+    return reduced_khovanov(braid_to_pd(braid.elrifai_k_word(1)))
 
 
 def _skein_residual(p_plus: LaurentPoly2, p_minus: LaurentPoly2,
@@ -568,7 +557,6 @@ def run_claims(section: str = "all") -> list[dict]:
     else:
         wanted = SECTIONS[int(section)]
     results = []
-    token = _shared.set({})
     try:
         for claim in wanted:
             try:
@@ -584,5 +572,6 @@ def run_claims(section: str = "all") -> list[dict]:
                 }
             )
     finally:
-        _shared.reset(token)
+        _res_seifert.cache_clear()
+        _main_khovanov.cache_clear()
     return results

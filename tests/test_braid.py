@@ -444,6 +444,18 @@ def test_artin_word_spells_half_twists():
     assert GarsideNormalForm(4, -1, ()).artin_word() == inv
 
 
+def test_artin_word_spells_no_half_twist_at_infimum_zero(monkeypatch):
+    spelled = []
+
+    def recording(p):
+        spelled.append(p)
+        return permutation_braid_word(p)
+
+    monkeypatch.setattr(braid, "permutation_braid_word", recording)
+    assert GarsideNormalForm(40, 0, ((1, 0, *range(2, 40)),)).artin_word() == (1,)
+    assert _half_twist(40) not in spelled
+
+
 # --- destabilization ---------------------------------------------------------
 
 def _destabilize_by_words(w):

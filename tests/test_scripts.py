@@ -84,7 +84,7 @@ def test_destab_timing_runs(capsys):
 
 def test_parity_against_its_own_tree_finds_no_mismatch(capsys):
     parity = load_script("parity")
-    counts = parity.compare(ROOT, seed=1, sizes=(40, 60, 20))
+    counts = parity.compare(ROOT, parity.SEED, sizes=(40, 60, 20))
     assert counts == {"destabilize": 0, "canonical_closure_key": 0, "cli": 0}
     assert capsys.readouterr().out.splitlines() == [
         f"destabilize: 0 mismatches in {40 + 2 * 81} inputs",
