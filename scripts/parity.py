@@ -1,4 +1,4 @@
-"""Compare this tree with another checkout of knotbound, in one process.
+r"""Compare this tree with another checkout of knotbound, in one process.
 
 The package under ``--base`` (a checkout or a ``git archive`` copy, holding
 ``src/knotbound``) is imported beside this tree's under another name, and
@@ -11,7 +11,12 @@ both get the same seeded inputs:
 * ``canonical_closure_key`` on seeded words of 1-7 strands, a third of them
   stabilized and then conjugated;
 * ``cli.main`` on a seeded corpus of command lines, bad ones included: the
-  same exit code, stdout and stderr.
+  same exit code, stdout and stderr;
+* result-cache reads of seeded cache files that mix current records,
+  records of other versions, torn and blank lines, keyless garbage, and
+  lines ended by ``\n``, ``\r\n`` or a lone ``\r``: the same
+  ``ResultCache.load`` of every key in the file and of one missing key, the
+  same ``records()``, and the same warning messages of each, in order.
 
 It prints the mismatch count of each part, and the first mismatching input,
 and exits 1 if any count is nonzero.
@@ -21,6 +26,7 @@ and exits 1 if any count is nonzero.
 
 import argparse
 import contextlib
+import dataclasses
 import importlib
 import importlib.util
 import io
@@ -28,23 +34,26 @@ import itertools
 import os
 import random
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 # This tree's package, whatever PYTHONPATH holds.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import knotbound.braid  # noqa: E402
+import knotbound.cache  # noqa: E402
 import knotbound.cli  # noqa: E402
 
 BASE_PACKAGE = "knotbound_base"
 # Seed of the inputs, and inputs per part: destabilize words (besides the
-# bm members), key words and command lines.
+# bm members), key words, command lines and cache files.
 SEED = 1
-SIZES = (3000, 5000, 300)
+SIZES = (3000, 5000, 300, 300)
 
 
 def load_base(base: Path):
-    """The ``braid`` and ``cli`` modules of the package under ``base/src``,
-    imported as ``knotbound_base``."""
+    """The ``braid``, ``cli`` and ``cache`` modules of the package under
+    ``base/src``, imported as ``knotbound_base``."""
     for name in [m for m in sys.modules if m.split(".")[0] == BASE_PACKAGE]:
         del sys.modules[name]
     init = base / "src" / "knotbound" / "__init__.py"
@@ -53,8 +62,8 @@ def load_base(base: Path):
     package = importlib.util.module_from_spec(spec)
     sys.modules[BASE_PACKAGE] = package
     spec.loader.exec_module(package)
-    return (importlib.import_module(f"{BASE_PACKAGE}.braid"),
-            importlib.import_module(f"{BASE_PACKAGE}.cli"))
+    return tuple(importlib.import_module(f"{BASE_PACKAGE}.{name}")
+                 for name in ("braid", "cli", "cache"))
 
 
 def random_letters(rng: random.Random, n: int, size: int) -> tuple[int, ...]:
@@ -134,6 +143,46 @@ def cli_inputs(seed: int, count: int) -> list[list[str]]:
     return fixed[:count] + lines
 
 
+CACHE_KEYS = ("(3,(1,2))", "(2,(1,1,1))", "k", 'q"uote', "back\\slash", "é", "")
+# Blank lines and lines with no readable key.
+CACHE_GARBAGE = (b"", b"  ", b"\t\x0c", b"[]", b"null", b"not json", b"\xff\xfe",
+                 b'{"canonical_key": ["k"]}')
+
+
+def cache_record_line(rng: random.Random, key: str) -> bytes:
+    """A record line of ``key``: current or of another version, with
+    well-formed or malformed invariants, whole or torn."""
+    homfly = rng.choice((None, {"terms": [[1, 0, 1], [-1, 2, -1]], "clearing": 0},
+                         {"terms": [[1, 0]], "clearing": 0}))
+    khovanov = rng.choice((None, [[0, 0, 1], [2, 4, 1]], [["x", 0, 1]]))
+    rec = knotbound.cache.InvariantRecord(
+        canonical_key=key, strands=rng.randint(1, 4), writhe=rng.randint(-3, 3),
+        components=rng.choice((1, 1, 2)), homfly=homfly, khovanov=khovanov,
+        signature=rng.choice((None, rng.randint(-4, 4))),
+        determinant=rng.choice((None, rng.randint(1, 9))),
+        created=f"t{rng.randint(0, 9)}",
+        version=rng.choice((knotbound.cache.CACHE_VERSION,) * 3 + (2, None)))
+    line = rec.to_json().encode()
+    return line[:rng.randint(1, len(line) - 1)] if rng.random() < 0.15 else line
+
+
+def cache_inputs(seed: int, count: int) -> list[tuple[bytes, tuple[str, ...]]]:
+    """Cache files, each with the keys it was written with."""
+    rng = random.Random(seed + 3)
+    files = []
+    for _ in range(count):
+        keys = tuple(rng.sample(CACHE_KEYS, rng.randint(1, 4)))
+        data = b""
+        for _ in range(rng.randint(0, 24)):
+            line = (cache_record_line(rng, rng.choice(keys)) if rng.random() < 0.6
+                    else rng.choice(CACHE_GARBAGE))
+            data += line + rng.choice((b"\n", b"\n", b"\n", b"\r\n", b"\r"))
+        if data and rng.random() < 0.3:
+            data = data[:-1]
+        files.append((data, keys))
+    return files
+
+
 def destabilize_outcome(braid, n: int, letters: tuple[int, ...]):
     try:
         word, sign = braid.destabilize(braid.BraidWord(n, letters))
@@ -153,9 +202,28 @@ def cli_outcome(cli, argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def compare(base: Path, seed: int, sizes: tuple[int, int, int]) -> dict[str, int]:
+def cache_outcome(cache, data: bytes, keys: tuple[str, ...]) -> list:
+    """Each key's ``load`` and then ``records()``, as field tuples, each with
+    the warning messages it gave."""
+    outcome = []
+    with tempfile.TemporaryDirectory() as d:
+        Path(d, "invariants.jsonl").write_bytes(data)
+        rc = cache.ResultCache(d)
+        for key in keys + ("missing", None):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                if key is None:
+                    result = [dataclasses.astuple(r) for r in rc.records()]
+                else:
+                    rec = rc.load(key)
+                    result = None if rec is None else dataclasses.astuple(rec)
+            outcome.append((key, result, [str(w.message) for w in caught]))
+    return outcome
+
+
+def compare(base: Path, seed: int, sizes: tuple[int, int, int, int]) -> dict[str, int]:
     """Print the mismatches of each part and return their counts."""
-    base_braid, base_cli = load_base(base)
+    base_braid, base_cli, base_cache = load_base(base)
     parts = [
         ("destabilize", destabilize_outcome, knotbound.braid, base_braid,
          destabilize_inputs(seed, sizes[0])),
@@ -163,6 +231,7 @@ def compare(base: Path, seed: int, sizes: tuple[int, int, int]) -> dict[str, int
          key_inputs(seed, sizes[1])),
         ("cli", cli_outcome, knotbound.cli, base_cli,
          [(argv,) for argv in cli_inputs(seed, sizes[2])]),
+        ("cache", cache_outcome, knotbound.cache, base_cache, cache_inputs(seed, sizes[3])),
     ]
     counts = {}
     # Neither tree may read or write a result cache.

@@ -54,7 +54,6 @@ __all__ = [
     "cyclic_reduce",
     "writhe",
     "closure_components",
-    "closure_permutation",
     "mirror",
     "conjugate",
     "stabilize",
@@ -262,16 +261,13 @@ def _tau(p: Perm) -> Perm:
     return tuple(n - 1 - p[n - 1 - i] for i in range(n))
 
 
-def closure_permutation(w: BraidWord) -> Perm:
-    p = _identity(w.strands)
-    for e in w.letters:
-        p = _perm_mul(p, _transposition(w.strands, abs(e)))
-    return p
-
-
 def closure_components(w: BraidWord) -> int:
-    """Number of components of the braid closure (cycles of the permutation)."""
-    p = closure_permutation(w)
+    """Number of components of the braid closure: the cycles of the
+    permutation the word induces, built by one swap per letter."""
+    p = list(range(w.strands))
+    for e in w.letters:
+        i = abs(e)
+        p[i - 1], p[i] = p[i], p[i - 1]
     seen = [False] * w.strands
     count = 0
     for i in range(w.strands):

@@ -9,11 +9,13 @@ its key's word.  A record carries the strand count and writhe of its key's
 word, so that all records of one key agree; a query prints its own.  A
 lookup of key k decodes only k's lines and the lines with no readable key,
 and skips the lines that carry another key; ``records`` (``cache list``)
-decodes all.  A lookup finds those lines in the file's bytes without
-splitting it into lines (``_key_lines``): ``find`` walks the occurrences of
-k's field, and one regular-expression scan finds the line breaks not
-followed by ``_RECORD_OPEN``, after which alone a line with no key can
-start.  Warnings number lines as ``bytes.splitlines`` does.  A corrupt line
+decodes all.  Both find their lines by one walk over the file's bytes,
+without splitting it into lines (``_key_lines``): ``find`` walks the
+occurrences of k's field, or for ``records`` of the key mark that every
+record line holds, and one regular-expression scan finds the line breaks
+not followed by ``_RECORD_OPEN``, after which alone a line with no key can
+start.  Warnings number lines as ``bytes.splitlines`` does, counted on from
+the line last warned about, so a read is linear in the file.  A corrupt line
 (not UTF-8, or not a record of well-typed fields), or a served invariant
 with malformed terms, is skipped with a warning and recomputed; it never
 aborts a computation, and the next append starts on a line of its own.  A
@@ -59,6 +61,7 @@ _KEY_MARK = _KEY_FIELD + b'"'
 # line that may hold no mark.
 _RECORD_OPEN = b"{" + _KEY_MARK
 _LOOSE_BREAK = re.compile(rb"\n(?!" + re.escape(_RECORD_OPEN) + rb"|\Z)")
+_BREAK = re.compile(rb"[\r\n]")
 # The computed fields of a record, in the order the CLI prints them.
 INVARIANTS = ("homfly", "khovanov", "signature", "determinant")
 
@@ -128,37 +131,34 @@ _HINTS = typing.get_type_hints(InvariantRecord)
 _TYPES = tuple(typing.get_args(_HINTS[n]) or _HINTS[n] for n in _NAMES)
 
 
-def _line_span(data: bytes, i: int) -> tuple[int, int]:
-    """Start and end offsets of the ``splitlines`` line of ``data`` that
-    holds offset ``i``."""
-    start = max(data.rfind(b"\n", 0, i), data.rfind(b"\r", 0, i)) + 1
-    ends = [e for e in (data.find(b"\n", i), data.find(b"\r", i)) if e >= 0]
-    return start, min(ends, default=len(data))
-
-
-def _line_number(data: bytes, start: int) -> int:
-    """The ``splitlines`` number, from 1, of the line that starts at ``start``."""
-    breaks = (data.count(b"\n", 0, start) + data.count(b"\r", 0, start)
-              - data.count(b"\r\n", 0, start))
-    return breaks + 1
+def _line_end(data: bytes, i: int) -> int:
+    r"""End offset of the ``splitlines`` line of ``data`` that holds offset
+    ``i``: the next ``\n`` or ``\r``, or the end of ``data``."""
+    m = _BREAK.search(data, i)
+    return m.start() if m else len(data)
 
 
 def _key_lines(data: bytes, needle: bytes) -> list[tuple[int, int]]:
-    """The (start, end) offsets, in file order, of the ``splitlines`` lines of
-    ``data`` that hold ``needle`` or hold no ``_KEY_MARK``.
+    r"""The (start, end) offsets, in file order, of the ``splitlines`` lines of
+    ``data`` that hold ``needle`` or hold no ``_KEY_MARK``.  With
+    ``_KEY_MARK`` as the needle, that is every line.
 
-    Both searches run over the bytes, not line by line.  ``find`` walks the
-    occurrences of ``needle``.  A line with no mark cannot open a record, so
-    it starts the file, or follows a lone ``\r`` or a ``\n`` that opens no
-    record; ``_LOOSE_BREAK`` finds those ``\n`` in one scan.  Only the lines
-    found are sliced out of ``data``; a file this program wrote has no loose
+    Both searches run over the bytes, not line by line, and each reads a
+    byte a bounded number of times, so the walk is linear in ``data``.
+    ``find`` walks the occurrences of ``needle``; the start of each one's
+    line is the last break between it and the end of the line before.  A
+    line with no mark cannot open a record, so it starts the file, or
+    follows a lone ``\r`` or a ``\n`` that opens no record;
+    ``_LOOSE_BREAK`` finds those ``\n`` in one scan.  Only the lines found
+    are sliced out of ``data``; a file this program wrote has no loose
     break, so a lookup slices out only its key's lines.
     """
     spans = {}
+    end = 0
     i = data.find(needle)
     while i >= 0:
-        start, end = _line_span(data, i)
-        spans[start] = end
+        start = max(data.rfind(b"\n", end, i), data.rfind(b"\r", end, i)) + 1
+        end = spans[start] = _line_end(data, i)
         i = data.find(needle, end)
     loose = [m.end() for m in _LOOSE_BREAK.finditer(data)]
     if not data.startswith(_RECORD_OPEN):
@@ -168,8 +168,8 @@ def _key_lines(data: bytes, needle: bytes) -> list[tuple[int, int]]:
         if data[r + 1:r + 2] != b"\n":
             loose.append(r + 1)
         r = data.find(b"\r", r + 1)
-    for i in loose:
-        start, end = _line_span(data, i)
+    for start in loose:
+        end = _line_end(data, start)
         if start not in spans and data.find(_KEY_MARK, start, end) < 0:
             spans[start] = end
     return sorted(spans.items())
@@ -209,7 +209,7 @@ class ResultCache:
         if directory is None:
             directory = os.environ.get(ENV_VAR)
         self.path: Optional[str] = os.path.join(directory, _FILE_NAME) if directory else None
-        # The merged record, or None, of each key looked up so far.
+        # The servable merged record, or None, of each key looked up so far.
         self._records: dict[str, Optional[InvariantRecord]] = {}
         # The file ends inside a line, so the next append starts a new one.
         self._torn = False
@@ -222,9 +222,10 @@ class ResultCache:
         """Current-version records of the file, merged per key in file order:
         of ``key`` alone, or of every key when ``key`` is None.
 
-        With a key, only the lines ``_key_lines`` finds are sliced out and
-        decoded: those holding the key's field and those with no key mark.
-        A warning's line number is counted only when a line is corrupt."""
+        Only the lines ``_key_lines`` finds are sliced out and decoded: with
+        a key, those holding its field and those with no key mark; without
+        one, every line.  A warning's line number is counted on from the
+        last one warned about, so the count reads each byte once."""
         if self.path is None:
             return {}
         try:
@@ -236,20 +237,21 @@ class ResultCache:
             warnings.warn(f"cache read failed, continuing without it: {exc}")
             return {}
         self._torn = data[-1:] not in (b"", b"\n")
-        if key is None:
-            lines = enumerate(data.splitlines(), 1)
-        else:
-            needle = _KEY_FIELD + json.dumps(key).encode()
-            lines = ((start, data[start:end]) for start, end in _key_lines(data, needle))
+        needle = _KEY_MARK if key is None else _KEY_FIELD + json.dumps(key).encode()
         records, from_json = {}, InvariantRecord.from_json
-        for where, line in lines:
+        lineno, counted = 1, 0
+        for start, end in _key_lines(data, needle):
+            line = data[start:end]
             if not line.strip():
                 continue
             try:
                 # A line that is not UTF-8 raises UnicodeDecodeError, a ValueError.
                 rec = from_json(line.decode())
             except ValueError as exc:
-                lineno = where if key is None else _line_number(data, where)
+                lineno += (data.count(b"\n", counted, start)
+                           + data.count(b"\r", counted, start)
+                           - data.count(b"\r\n", counted, start))
+                counted = start
                 warnings.warn(f"skipping corrupt cache line {lineno}: {exc}")
                 continue
             if rec.version != CACHE_VERSION or (
@@ -259,27 +261,24 @@ class ResultCache:
             records[rec.canonical_key] = rec.merged_with(known) if known else rec
         return records
 
-    def _record(self, key: str) -> Optional[InvariantRecord]:
-        if key not in self._records:
-            self._records[key] = self._read(key).get(key)
-        return self._records[key]
-
     def load(self, key: str) -> Optional[InvariantRecord]:
         """The record of ``key``, with only the invariants it can serve."""
-        rec = self._record(key)
-        if rec is not None:
-            rec = self._records[key] = _servable(rec)
-        return rec
+        if key not in self._records:
+            rec = self._read(key).get(key)
+            self._records[key] = None if rec is None else _servable(rec)
+        return self._records[key]
 
     def store(self, record: InvariantRecord) -> None:
         """Append the record unless an equal-or-richer one is present."""
         if self.path is None:
             return
-        known = self._record(record.canonical_key)
+        key = record.canonical_key
+        # Not loaded again: perfbench's tracer counts each load as a lookup.
+        known = self._records[key] if key in self._records else self.load(key)
         record = _servable(record.merged_with(known) if known else record)
         if record == known:
             return
-        self._records[record.canonical_key] = record
+        self._records[key] = record
         try:
             os.makedirs(os.path.dirname(self.path), exist_ok=True)
             with open(self.path, "a") as fh:

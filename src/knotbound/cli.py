@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 from dataclasses import asdict, replace
 from gettext import gettext
 from typing import Optional
@@ -327,7 +328,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         return USAGE_ERROR
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def entry() -> None:
+    """The ``knotbound`` program: ``main`` on ``sys.argv``, with each warning
+    printed to stderr as ``warning: <message>``, free of source locations."""
+    warnings.formatwarning = _format_warning
     sys.exit(main())
 
 

@@ -11,6 +11,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -1222,6 +1223,49 @@ def test_cache_list_warns_once_per_corrupt_line(tmp_path, capsys):
         code, out, _ = run(capsys, ["cache", "list", "--cache-dir", str(tmp_path)])
     assert code == 0 and "1 record(s)" in out
     assert _warned_lines(caught) == [2, 3, 4, 5]
+
+
+def _cpu_seconds(read) -> float:
+    start = time.process_time()
+    read()
+    return time.process_time() - start
+
+
+@pytest.mark.parametrize("read", ["load", "records"])
+def test_cache_read_over_unreadable_lines_is_linear(tmp_path, read):
+    # Counting each warned line's number from the start of the file made a
+    # lookup quadratic in the file.  Lines end in \n, \r\n and a lone \r.
+    count = 20_000
+    (tmp_path / "invariants.jsonl").write_bytes(b"".join(
+        b"garbage %05d%s" % (i, (b"\n", b"\r\n", b"\r")[i % 3]) for i in range(count)))
+    cache = ResultCache(str(tmp_path))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        seconds = _cpu_seconds(lambda: cache.load("k") if read == "load" else cache.records())
+    assert _warned_lines(caught) == list(range(1, count + 1))
+    assert seconds < 2, seconds
+
+
+def test_cache_list_over_one_key_is_linear(tmp_path):
+    rec = InvariantRecord(canonical_key="(3,(1,2))", strands=3, writhe=2, components=1,
+                          signature=0)
+    (tmp_path / "invariants.jsonl").write_text((rec.to_json() + "\n") * 20_000)
+    listed = []
+    seconds = _cpu_seconds(lambda: listed.extend(ResultCache(str(tmp_path)).records()))
+    assert listed == [rec]
+    assert seconds < 2, seconds
+
+
+def test_cli_prints_cache_warnings_without_source_location(tmp_path):
+    (tmp_path / "invariants.jsonl").write_text("garbage\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "knotbound.cli", "invariants", "1 1 1", "--strands", "2",
+         "--seifert", "--cache-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(khovanov.__file__).parents[1])},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "warning: skipping corrupt cache line 1: "
+                                                 "Expecting value: line 1 column 1 (char 0)\n")
 
 
 def test_cache_key_needs_no_normal_form(tmp_path, capsys, monkeypatch):
