@@ -6,17 +6,17 @@ sequence of nonzero integers: letter ``+i`` is the generator crossing strands
 (the Hecke expansion, Seifert surfaces, planar diagrams) consumes this one
 representation.
 
-Braid equality in B_n, which only destabilization needs, is decided through
-the left-greedy Garside normal form Delta^d p_1 ... p_k, with each canonical
-factor a permutation braid encoded by its permutation in one-line notation.
-A normal form times a simple element, on either side, takes one pass of
-pair normalisations (Elrifai and Morton, "Algorithms for positive braids",
-Quart. J. Math. Oxford 45, 1994; Epstein et al., "Word Processing in
-Groups", 1992, ch. 9).  That arithmetic lives in a ``_Garside`` context,
-which one computation owns together with the memos of its simple-element
-operations.  A word is normalised letter by letter; a destabilization
-search normalises one word and reaches every other rotation and conjugate
-it tries by one ``conjugate`` step (see ``destabilize``).
+Braid equality in B_n, which the frozen Markov certificates of the paper's
+Section 3 need, is decided through the left-greedy Garside normal form
+Delta^d p_1 ... p_k, with each canonical factor a permutation braid encoded
+by its permutation in one-line notation.  A normal form times a simple
+element takes one pass of pair normalisations (Elrifai and Morton,
+"Algorithms for positive braids", Quart. J. Math. Oxford 45, 1994; Epstein
+et al., "Word Processing in Groups", 1992, ch. 9), so a word is normalised
+letter by letter.  That arithmetic lives in a ``_Garside`` context, which
+one computation owns together with the memos of its simple-element
+operations.  ``destabilize`` is the plain Markov move on a word whose top
+generator occurs once; it searches no conjugates.
 The result cache keys a closure at the word level, so it needs no normal
 form: the cyclically reduced word, destabilized while its top generator
 occurs exactly once, then its least cyclic rotation.
@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -44,9 +43,7 @@ __all__ = [
     "NotDestabilizable",
     "EngineInconsistency",
     "TooManyStrands",
-    "TooManyConjugates",
     "MAX_STRANDS",
-    "MAX_CONJUGATES",
     "MAX_FAMILY_LETTERS",
     "FamilyTooLong",
     "parse_braid_word",
@@ -93,7 +90,8 @@ class PreconditionFailed(BraidError):
 
 
 class NotDestabilizable(BraidError):
-    """No destabilizable representative found within the search bound."""
+    """The cyclically reduced word does not hold its top generator
+    sigma_{n-1}^{+-1} exactly once."""
 
 
 # Most strands a parsed braid word may have.  Per-strand work is linear or
@@ -382,32 +380,6 @@ class _Garside:
             s = _perm_mul(self.delta, self.inv(s))
         return self._normalised(infimum, [*factors, s], range(len(factors) - 1, -1, -1))
 
-    def left(self, nf: GarsideNormalForm, s: Perm, inverse: bool) -> GarsideNormalForm:
-        """Normal form of the simple element s, or of s^{-1}, times nf."""
-        infimum = nf.infimum
-        if inverse:
-            # s^{-1} = (s^{-1} Delta) Delta^{-1}, and s^{-1} Delta is simple.
-            infimum -= 1
-            s = _perm_mul(self.inv(s), self.delta)
-        # s Delta^d = Delta^d tau^d(s).
-        if infimum % 2:
-            s = self.tau(s)
-        return self._normalised(infimum, [s, *nf.factors], range(len(nf.factors)))
-
-    def conjugate(self, nf: GarsideNormalForm, s: Perm, inverse: bool) -> GarsideNormalForm:
-        """Normal form of s nf s^{-1}, or of s^{-1} nf s."""
-        return self.right(self.left(nf, s, inverse), s, not inverse)
-
-    def rotations(self, letters: tuple[int, ...]):
-        """The normal form of each cyclic rotation of ``letters``, in order of
-        its start, one at least: rotation s + 1 is x^{-1} (rotation s) x for
-        the letter x = letters[s]."""
-        nf = garside_normal_form(BraidWord(self.n, letters))
-        yield nf
-        for x in letters[:-1]:
-            nf = self.conjugate(nf, _transposition(self.n, abs(x)), x > 0)
-            yield nf
-
     def spell(self, nf: GarsideNormalForm) -> tuple[int, ...]:
         """An Artin word for nf."""
         delta = self.word(self.delta) if nf.infimum else ()
@@ -644,44 +616,6 @@ def scan_word(key_word: BraidWord) -> BraidWord:
 # Markov destabilization
 
 
-# Most candidates, rotations times 2 n!, that destabilize may search.  A
-# candidate costs more as its normal form grows: at the budget, a search that
-# finds nothing took about 0.1 s on 6 strands (6 letters) and 2 s on 3
-# strands (833 letters).  Words on 7 or more strands that need a search are
-# refused at any length.
-MAX_CONJUGATES = 10_000
-
-
-class TooManyConjugates(PreconditionFailed):
-    """The destabilization search would exceed ``MAX_CONJUGATES``."""
-
-
-def _conjugate_words(n: int, reduced: tuple[int, ...]):
-    """The cyclically reduced conjugate words that ``destabilize`` searches, in
-    order, if their letter counts allow a hit; refuses an oversized search."""
-    candidates = max(1, len(reduced)) * 2 * math.factorial(n)
-    if candidates > MAX_CONJUGATES:
-        raise TooManyConjugates(
-            f"destabilizing would search {candidates} conjugates, over the "
-            f"budget of {MAX_CONJUGATES}"
-        )
-    garside = _Garside(n)
-    perms = list(itertools.permutations(range(n)))  # the identity first
-    tops = {p: garside.word(p).count(n - 1) for p in perms}
-    delta_tops = tops[garside.delta]
-    looked: set[GarsideNormalForm] = set()
-    for nf in garside.rotations(reduced):
-        for conj_nf in itertools.chain([nf], (garside.conjugate(nf, p, inverse)
-                                              for p in perms[1:] for inverse in (False, True))):
-            if conj_nf in looked:
-                continue
-            looked.add(conj_nf)
-            d = conj_nf.infimum
-            if d >= 0 and d * delta_tops + sum(map(tops.__getitem__, conj_nf.factors)) != 1:
-                continue
-            yield _cyclic_reduce(garside.spell(conj_nf))
-
-
 def _drop_single_top(n: int, letters: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
     """``letters`` without its only sigma_{n-1}^{+-1}, and that letter's
     sign; None unless there is exactly one."""
@@ -693,39 +627,19 @@ def _drop_single_top(n: int, letters: tuple[int, ...]) -> tuple[tuple[int, ...],
 
 
 def destabilize(w: BraidWord) -> tuple[BraidWord, int]:
-    """Remove one strand by a Markov destabilization.
+    """Remove one strand by a Markov destabilization: the (n-1)-strand word
+    and the sign of the removed crossing.
 
-    Looks for a conjugate of w in which sigma_{n-1}^{+-1} occurs exactly
-    once: first the cyclically reduced word, then, in one ``_Garside``
-    context, the normal-form word of each cyclic rotation conjugated by the
-    empty word and by every permutation braid of B_n and its inverse, in
-    that order, each cyclically reduced.  (The cyclic reduction of a
-    conjugate word is a rotation of the reduced word, with the same letter
-    counts, so the reduced word stands for them all.)  Only the first
-    rotation is normalised from its word: rotation s + 1 is
-    x^{-1} (rotation s) x for the letter x that moves to the back, and every
-    conjugator is simple or the inverse of one, so each further normal form
-    is one ``conjugate`` step.  A normal form met before is skipped.  One
-    with a nonnegative infimum spells a positive word, which cyclic
-    reduction keeps, so its sigma_{n-1} count is summed over its factors,
-    and its word is spelled only if that count is 1.
-
-    A search over ``MAX_CONJUGATES`` candidates, rotations times 2 n!, is
-    refused with ``TooManyConjugates`` before anything is enumerated.  The
-    cost of a candidate grows with the length of its normal form.  Returns
-    the (n-1)-strand word and the sign of the removed crossing.
+    The word is cyclically reduced and its only sigma_{n-1}^{+-1} is
+    dropped, the move ``canonical_closure_key`` makes.  A word that does not
+    hold exactly one raises ``NotDestabilizable``; no conjugate or braid
+    relation is tried.
     """
-    n = w.strands
-    if n < 2:
-        raise NotDestabilizable("nothing to destabilize on one strand")
-    reduced = _cyclic_reduce(w.letters)
-    for letters in itertools.chain([reduced], _conjugate_words(n, reduced)):
-        found = _drop_single_top(n, letters)
-        if found:
-            return BraidWord(n - 1, found[0]), found[1]
-    raise NotDestabilizable(
-        f"no representative with a single sigma_{n - 1}^{{+-1}} found"
-    )
+    found = _drop_single_top(w.strands, _cyclic_reduce(w.letters))
+    if not found:
+        raise NotDestabilizable("the cyclically reduced word does not hold "
+                                "its top generator exactly once")
+    return BraidWord(w.strands - 1, found[0]), found[1]
 
 
 # ---------------------------------------------------------------------------

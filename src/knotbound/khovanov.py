@@ -71,8 +71,9 @@ class PlanarDiagram:
     at the incoming under-strand, plus the crossing sign.  Port 0 is
     incoming and port 2 outgoing; port 3 is incoming at a positive crossing
     and port 1 at a negative one.  Every edge at a crossing must come in
-    once and go out once.  Edges incident to no crossing (split unknotted
-    components) are listed in ``free_edges``.
+    once and go out once, and each connected component must be planar.
+    Edges incident to no crossing (split unknotted components) are listed in
+    ``free_edges``.
     """
 
     crossings: tuple[tuple[tuple[int, int, int, int], int], ...]
@@ -112,6 +113,44 @@ class PlanarDiagram:
             raise BraidError(f"edges {bad} are not incoming at exactly one port")
         if not (0 <= self.marked_edge < self.n_edges):
             raise BraidError("marked edge out of range")
+        genus = self._genus()
+        if genus:
+            raise BraidError(f"the diagram is not planar: its components lie on "
+                             f"surfaces of total genus {genus}")
+
+    def _genus(self) -> int:
+        """Total genus of the closed surfaces that the connected components
+        of the crossings are drawn on, given the counterclockwise port order.
+
+        A port is numbered 4 * crossing + port.  Each face is traced once, by
+        following a port's edge to its far port and turning to the next port
+        counterclockwise.  By Euler's formula a component of V crossings, 2V
+        edges and F faces has genus (2 - V + 2V - F) / 2, which is never
+        negative, so k components are all planar exactly when the sum
+        (2k + V - F) / 2 is 0.
+        """
+        c = len(self.crossings)
+        far = [0] * (4 * c)
+        first = [-1] * self.n_edges
+        parent = list(range(c))
+        for d, e in enumerate(e for p, _ in self.crossings for e in p):
+            if first[e] < 0:
+                first[e] = d
+            else:
+                far[d], far[first[e]] = first[e], d
+                parent[_find(parent, d // 4)] = _find(parent, first[e] // 4)
+        components = sum(_find(parent, x) == x for x in range(c))
+        faces = 0
+        seen = [False] * (4 * c)
+        for start in range(4 * c):
+            if not seen[start]:
+                faces += 1
+                d = start
+                while not seen[d]:
+                    seen[d] = True
+                    d = far[d]
+                    d += 1 if d % 4 < 3 else -3
+        return (2 * components + c - faces) // 2
 
     def _check_edge(self, e: int) -> None:
         if not 0 <= e < self.n_edges:

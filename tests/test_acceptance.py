@@ -9,7 +9,9 @@ import functools
 import random
 import time
 
-from knotbound import braid
+import pytest
+
+from knotbound import braid, verify
 from knotbound.braid import BraidWord, conjugate, destabilize, expand_qp, stabilize
 from knotbound.bounds import (
     bennequin,
@@ -25,6 +27,7 @@ from knotbound.khovanov import braid_to_pd, reduced_khovanov
 from knotbound.laurent import LaurentPoly2, a_degree_range, to_aq
 from knotbound.seifert import determinant, signature
 from knotbound.verify import (
+    DESTABILIZATION_CERTIFICATES,
     HOMFLY_DOUBLE,
     HOMFLY_MAIN,
     HOMFLY_SMOOTHED,
@@ -185,17 +188,46 @@ def test_criterion_08_property_suite():
 @criterion(9, "four-strand members destabilize onto their stated reductions")
 def test_criterion_09_bm_destabilizations():
     for tup in [(1, 1, 1, 1), (2, 1, 1, 1), (1, 2, 1, 2)]:
-        wm = braid.bm_minus_word(*tup)
-        w0 = braid.bm_zero_word(*tup)
-        dm, sm = destabilize(wm)
-        d0, s0 = destabilize(w0)
-        assert sm == 1 and s0 == 1
-        assert homfly(wm) == homfly(braid.bm_minus_reduced(*tup)) == homfly(dm)
-        assert homfly(w0) == homfly(braid.bm_zero_reduced(*tup)) == homfly(d0)
+        assert verify._destab_case(tup)[0]
+        # HOMFLYPT, an independent cross-check: the same at every stage.
+        for name, member, stated in (
+            ("minus", braid.bm_minus_word, braid.bm_minus_reduced),
+            ("zero", braid.bm_zero_word, braid.bm_zero_reduced),
+        ):
+            w = BraidWord(4, DESTABILIZATION_CERTIFICATES[tup, name][1])
+            v, sign = destabilize(w)
+            assert sign == 1
+            assert homfly(member(*tup)) == homfly(w) == homfly(v) == homfly(stated(*tup))
     from knotbound.bounds import destabilization_deficit
 
     assert destabilization_deficit(8, 4, 1, 0) == (8 + 4 - 1 - 2, 8 - 4 + 1)
     assert destabilization_deficit(8, 4, 0, 1) == (8 + 4 - 1, 8 - 4 + 1 + 2)
+
+
+def _one_letter_changed(letters, strands):
+    """Every word made from ``letters`` by replacing one letter with another
+    generator or inverse."""
+    alphabet = [s * g for g in range(1, strands) for s in (1, -1)]
+    return [letters[:k] + (e,) + letters[k + 1:]
+            for k, x in enumerate(letters) for e in alphabet if e != x]
+
+
+@pytest.mark.parametrize("key, part", [
+    pytest.param(key, part, id="-".join([*map(str, key[0]), key[1], ("C1", "W", "C2")[part]]))
+    for key in sorted(DESTABILIZATION_CERTIFICATES) for part in range(3)
+    if DESTABILIZATION_CERTIFICATES[key][part]
+])
+def test_a_changed_certificate_letter_fails_its_claim(monkeypatch, key, part):
+    tup = key[0]
+    certificate = DESTABILIZATION_CERTIFICATES[key]
+    for changed in _one_letter_changed(certificate[part], 3 if part == 2 else 4):
+        monkeypatch.setitem(DESTABILIZATION_CERTIFICATES, key,
+                            certificate[:part] + (changed,) + certificate[part + 1:])
+        try:
+            ok = verify._destab_case(tup)[0]
+        except braid.NotDestabilizable:
+            ok = False
+        assert not ok, changed
 
 
 @criterion(10, "slice-genus arithmetic and quadrant orbit membership")

@@ -8,16 +8,13 @@ from hypothesis import strategies as st
 
 from knotbound import braid
 from knotbound.braid import (
-    MAX_CONJUGATES,
     SCAN_CANDIDATES,
     BraidError,
     BraidWord,
     FAMILIES,
     GarsideNormalForm,
     NotDestabilizable,
-    PreconditionFailed,
     QPFactorization,
-    TooManyConjugates,
     _Garside,
     _half_twist,
     _identity,
@@ -266,7 +263,7 @@ def word_and_permutation(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(word_and_permutation())
-# Infimum -1: the inverse left product must use tau of the new infimum, -2.
+# Infimum -1, and -2 after the inverse product.
 @example((BraidWord(3, (-1,)), (1, 2, 0)))
 # Infimum 1, with a factor after the half twist.
 @example((BraidWord(4, (1, 2, 1, 3, 2, 1, 1)), (2, 0, 3, 1)))
@@ -277,12 +274,8 @@ def test_simple_products_match_normal_form(case):
     word = permutation_braid_word(p)
     inv = tuple(-e for e in reversed(word))
     for product, letters in (
-        (garside.left(nf, p, False), word + w.letters),
-        (garside.left(nf, p, True), inv + w.letters),
         (garside.right(nf, p, False), w.letters + word),
         (garside.right(nf, p, True), w.letters + inv),
-        (garside.conjugate(nf, p, False), word + w.letters + inv),
-        (garside.conjugate(nf, p, True), inv + w.letters + word),
     ):
         assert product == garside_normal_form(w.with_letters(letters))
 
@@ -458,47 +451,6 @@ def test_artin_word_spells_no_half_twist_at_infimum_zero(monkeypatch):
 
 # --- destabilization ---------------------------------------------------------
 
-def _destabilize_by_words(w):
-    """Oracle: the search of ``destabilize`` with every conjugate word
-    normalised from scratch."""
-    n = w.strands
-    if n < 2:
-        raise NotDestabilizable("nothing to destabilize on one strand")
-    top = n - 1
-    conjugators = [BraidWord(n, ())]
-    for p in itertools.permutations(range(n)):
-        word = permutation_braid_word(p)
-        if word:
-            conjugators.append(BraidWord(n, word))
-            conjugators.append(BraidWord(n, tuple(-e for e in reversed(word))))
-    reduced = cyclic_reduce(w).letters
-    seen = set()
-    for s in range(max(1, len(reduced))):
-        rotated = BraidWord(n, reduced[s:] + reduced[:s])
-        for c in conjugators:
-            v = conjugate(rotated, c)
-            nf_word = BraidWord(n, garside_normal_form(v).artin_word())
-            for letters in (cyclic_reduce(v).letters, cyclic_reduce(nf_word).letters):
-                if letters in seen:
-                    continue
-                seen.add(letters)
-                hits = [k for k, e in enumerate(letters) if abs(e) == top]
-                if len(hits) == 1:
-                    k = hits[0]
-                    sign = 1 if letters[k] > 0 else -1
-                    return BraidWord(n - 1, letters[:k] + letters[k + 1:]), sign
-    raise NotDestabilizable(
-        f"no representative with a single sigma_{top}^{{+-1}} found"
-    )
-
-
-def _outcome(search, w):
-    try:
-        return search(w)
-    except NotDestabilizable as exc:
-        return "NotDestabilizable", str(exc)
-
-
 @st.composite
 def destabilization_inputs(draw):
     """Stabilized-then-conjugated words, and unstabilized words, on 2-4 strands."""
@@ -515,34 +467,6 @@ def destabilization_inputs(draw):
     return conjugate(w, BraidWord(n, tuple(draw(words(n, 3)))))
 
 
-@settings(max_examples=100, deadline=None)
-@given(destabilization_inputs())
-@example(bm_minus_word(1, 1, 1, 1))
-@example(bm_zero_word(1, 1, 1, 1))
-@example(bm_minus_word(2, 0, 1, 2))
-@example(bm_zero_word(0, 2, 2, 1))
-# The first hits come at rotations 2 and 5, counted from 0.
-@example(bm_minus_word(1, 2, 1, 2))
-@example(bm_zero_word(1, 2, 1, 2))
-# No hit: the whole search order is compared.
-@example(BraidWord(4, (1, 1, 1, 2, 2, 2, 3, 3, 3)))
-# The hit is the word of a normal form with infimum -1.
-@example(BraidWord(3, (-1,)))
-def test_destabilize_matches_word_search(w):
-    assert _outcome(destabilize, w) == _outcome(_destabilize_by_words, w)
-
-
-@settings(max_examples=200, deadline=None)
-@given(mixed_sign_words())
-# Delta sigma_3^-1: the steps take both signs, and the infimum moves 0, -1, 0.
-@example(BraidWord(4, (1, 2, 1, 3, 2, 1, -3)))
-def test_rotation_normal_forms_match_each_rotation(w):
-    letters = w.letters
-    rotations = [letters[s:] + letters[:s] for s in range(max(1, len(letters)))]
-    assert list(_Garside(w.strands).rotations(letters)) == [
-        garside_normal_form(w.with_letters(r)) for r in rotations]
-
-
 @settings(max_examples=200, deadline=None)
 @given(destabilization_inputs())
 # u sigma_3 v where v u cancels across the seam.
@@ -555,24 +479,10 @@ def test_key_of_a_single_top_word_is_the_key_of_its_destabilization(w):
     assert canonical_closure_key(w) == canonical_closure_key(destabilize(w)[0])
 
 
-def test_destabilize_refuses_a_large_search_at_once(monkeypatch):
-    def refuse(*args):
-        raise RuntimeError("an oversized search must be refused before it starts")
-
-    monkeypatch.setattr(braid, "garside_normal_form", refuse)
-    monkeypatch.setattr(braid, "permutation_braid_word", refuse)
-    # 2 * 9! conjugates for the one rotation of each word.
-    for letters in ((8, 8), (1, 2, 3)):
-        with pytest.raises(TooManyConjugates, match=f"budget of {MAX_CONJUGATES}"):
-            destabilize(BraidWord(9, letters))
-    assert issubclass(TooManyConjugates, PreconditionFailed)
-    # A word with its top generator once needs no search.
-    assert destabilize(BraidWord(9, (8, 1, 2))) == (BraidWord(8, (1, 2)), 1)
-
-
 def test_destabilize_simple():
     w, sign = destabilize(BraidWord(3, (1, 2)))
     assert w.strands == 2 and w.letters == (1,) and sign == 1
+    assert destabilize(BraidWord(9, (8, 1, 2))) == (BraidWord(8, (1, 2)), 1)
 
 
 def test_destabilize_negative_sign():
@@ -583,16 +493,9 @@ def test_destabilize_negative_sign():
 def test_destabilize_not_possible():
     with pytest.raises(NotDestabilizable):
         destabilize(BraidWord(2, (1, 1)))
-
-
-def test_destabilize_bm_word():
-    # requires a conjugation before the top generator occurs exactly once
-    from knotbound.homfly import homfly
-
-    w = bm_minus_word(1, 1, 1, 1)
-    reduced, sign = destabilize(w)
-    assert reduced.strands == 3 and sign == 1
-    assert homfly(reduced) == homfly(w)
+    # Destabilizable only after a conjugation, which the move does not try.
+    with pytest.raises(NotDestabilizable):
+        destabilize(bm_minus_word(1, 1, 1, 1))
 
 
 def test_destabilize_restabilize_roundtrip():

@@ -357,10 +357,17 @@ def test_emit_and_import_pd(tmp_path, capsys):
         # The closure of the one-letter 2-strand word, which has 2 edges.
         ("X 1 1 0 0 +\nM 7\n", "marked edge out of range"),
         ("X 0 0 0 1 +\nM 0\n", "edges [0, 1] do not appear exactly twice"),
+        # Well-oriented, but on a torus: once an engine inconsistency, and
+        # once a table printed with exit 0.
+        ("X 5 2 0 4 -\nX 4 6 1 5 -\nX 1 6 2 3 +\nX 7 0 3 7 -\nM 0\n",
+         "not planar: its components lie on surfaces of total genus 1"),
+        ("X 3 2 0 1 +\nX 0 2 1 3 -\nM 0\n",
+         "not planar: its components lie on surfaces of total genus 1"),
     ],
     ids=["non-integer-port", "bare-U", "bare-M", "negative-edge", "misoriented",
          "sparse-edge-ids", "second-M", "four-tokens", "bad-sign", "unknown-line",
-         "marked-out-of-range", "edge-three-times"],
+         "marked-out-of-range", "edge-three-times", "genus-1-inconsistent",
+         "genus-1-table"],
 )
 def test_malformed_pd_file_exit_2(tmp_path, capsys, text, message):
     pd_file = tmp_path / "bad.pd"
@@ -402,6 +409,112 @@ def test_emitted_free_circle_round_trips(tmp_path, capsys):
     code, out, _ = run(capsys, argv + ["--khovanov", "--json"])
     assert code == 0
     assert pd_file_khovanov(tmp_path, capsys, pd_text) == json.loads(out)["khovanov"]["ranks"]
+
+
+def _planar(crossings) -> bool:
+    """Oracle: Euler's formula V - E + F = 2 on each connected component of
+    the crossings, with E = 2V and the faces traced turning clockwise."""
+    ports: dict[int, list] = {}
+    for x, (edges, _) in enumerate(crossings):
+        for i, e in enumerate(edges):
+            ports.setdefault(e, []).append((x, i))
+
+    def far(x, i):
+        a, b = ports[crossings[x][0][i]]
+        return b if a == (x, i) else a
+
+    unseen = set(range(len(crossings)))
+    while unseen:
+        component, stack = set(), [unseen.pop()]
+        while stack:
+            x = stack.pop()
+            component.add(x)
+            for i in range(4):
+                y = far(x, i)[0]
+                if y in unseen:
+                    unseen.remove(y)
+                    stack.append(y)
+        darts = {(x, i) for x in component for i in range(4)}
+        faces = 0
+        while darts:
+            faces += 1
+            start = d = next(iter(darts))
+            while True:
+                darts.remove(d)
+                y, j = far(*d)
+                d = (y, (j - 1) % 4)
+                if d == start:
+                    break
+        if faces - len(component) != 2:
+            return False
+    return True
+
+
+@st.composite
+def incidence_codes(draw):
+    """1-6 crossings of random signs, each outgoing port joined to a random
+    incoming port, and 0-2 free circles, under random edge ids: valid
+    incidence and orientation, planar or not."""
+    c = draw(st.integers(1, 6))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=c, max_size=c))
+    outgoing = [(x, p) for x, s in enumerate(signs) for p in (2, 1 if s > 0 else 3)]
+    incoming = [(x, p) for x, s in enumerate(signs) for p in (0, 3 if s > 0 else 1)]
+    ids = draw(st.permutations(range(2 * c + draw(st.integers(0, 2)))))
+    edges = [[0] * 4 for _ in signs]
+    for e, (x, p), (y, q) in zip(ids, outgoing, draw(st.permutations(incoming))):
+        edges[x][p] = edges[y][q] = e
+    return [(tuple(ports), s) for ports, s in zip(edges, signs)], list(ids[2 * c:])
+
+
+@st.composite
+def pd_files(draw):
+    """PD text from a random code, a scrambled braid closure diagram (its
+    crossings shuffled, its edge ids permuted) or a split union of the two,
+    with a random marked edge or none; whether every component is planar;
+    and for a scrambled diagram, its braid's diagram with the same edge
+    marked."""
+    source = draw(st.sampled_from(["code", "braid", "union"]))
+    crossings, free = draw(incidence_codes()) if source != "braid" else ([], [])
+    if source != "code":
+        n = draw(st.integers(1, 4))
+        gens = [s * g for g in range(1, n) for s in (1, -1)]
+        letters = draw(st.lists(st.sampled_from(gens), max_size=8) if gens else st.just([]))
+        pd = khovanov.braid_to_pd(BraidWord(n, tuple(letters)))
+        shift = 2 * len(crossings) + len(free)
+        ids = [shift + e for e in draw(st.permutations(range(pd.n_edges)))]
+        crossings += draw(st.permutations(
+            [(tuple(ids[e] for e in ports), s) for ports, s in pd.crossings]))
+        free += [ids[e] for e in pd.free_edges]
+    marked = draw(st.none() | st.integers(0, 2 * len(crossings) + len(free) - 1))
+    lines = [f"X {' '.join(map(str, ports))} {'+' if s > 0 else '-'}"
+             for ports, s in crossings]
+    lines += [f"U {e}" for e in free] + ([] if marked is None else [f"M {marked}"])
+    original = None
+    if source == "braid":
+        original = replace(pd, marked_edge=ids.index(marked or 0))
+    return "".join(line + "\n" for line in lines), _planar(crossings), original
+
+
+@settings(max_examples=400, deadline=None)
+@given(pd_files())
+# A split union of a torus diagram and a trefoil: refused for the first.
+@example(("X 3 2 0 1 +\nX 0 2 1 3 -\nX 7 8 5 4 +\nX 8 9 6 5 +\nX 9 7 4 6 +\n", False,
+          None))
+def test_pd_file_exits_0_exactly_when_planar(case):
+    text, planar, original = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d, "diagram.pd")
+        path.write_text(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["invariants", "--pd-file", str(path), "--khovanov", "--json"])
+    assert "Traceback" not in err.getvalue()
+    assert code == (0 if planar else 2), err.getvalue()
+    if not planar:
+        assert "not planar" in err.getvalue()
+    if original is not None:
+        expected = khovanov.reduced_khovanov(original).triples()
+        assert json.loads(out.getvalue())["khovanov"]["ranks"] == [list(t) for t in expected]
 
 
 def test_pd_edge_count_checked_before_allocation(tmp_path):
