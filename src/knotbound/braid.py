@@ -13,10 +13,8 @@ by its permutation in one-line notation.  A normal form times a simple
 element takes one pass of pair normalisations (Elrifai and Morton,
 "Algorithms for positive braids", Quart. J. Math. Oxford 45, 1994; Epstein
 et al., "Word Processing in Groups", 1992, ch. 9), so a word is normalised
-letter by letter.  That arithmetic lives in a ``_Garside`` context, which
-one computation owns together with the memos of its simple-element
-operations.  ``destabilize`` is the plain Markov move on a word whose top
-generator occurs once; it searches no conjugates.
+letter by letter.  ``destabilize`` is the plain Markov move on a word whose
+top generator occurs once; it searches no conjugates.
 The result cache keys a closure at the word level, so it needs no normal
 form: the cyclically reduced word, destabilized while its top generator
 occurs exactly once, then its least cyclic rotation.
@@ -28,7 +26,6 @@ handle reduction, braid relations and the key rule).
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -308,10 +305,6 @@ class GarsideNormalForm:
     infimum: int
     factors: tuple[Perm, ...]
 
-    def artin_word(self) -> tuple[int, ...]:
-        """An Artin word representing the same element."""
-        return _Garside(self.strands).spell(self)
-
 
 def _weigh(a: Perm, b: Perm) -> tuple[Perm, Perm] | None:
     """The left-weighted pair of simple elements with product a b, or None
@@ -338,70 +331,40 @@ def _weigh(a: Perm, b: Perm) -> tuple[Perm, Perm] | None:
     return (_perm_inv(a_inv), tuple(b)) if moved else None
 
 
-class _Garside:
-    """The simple-element arithmetic of B_n for one computation: the
-    identity and the half twist, built once, and memos of the operations on
-    simple elements that live as long as the object."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.identity = _identity(n)
-        self.delta = _half_twist(n)
-        self.weigh = functools.cache(_weigh)
-        self.tau = functools.cache(_tau)
-        self.inv = functools.cache(_perm_inv)
-        self.word = functools.cache(permutation_braid_word)
-
-    def _normalised(self, infimum: int, factors: list[Perm],
-                    pairs: Iterable[int]) -> GarsideNormalForm:
-        """Weigh the pairs (k, k + 1) in the given order up to the first one
-        already left-weighted, then drop trailing identities and absorb
-        leading half twists into the infimum."""
-        for k in pairs:
-            pair = self.weigh(factors[k], factors[k + 1])
-            if pair is None:
-                break
-            factors[k], factors[k + 1] = pair
-        while factors and factors[-1] == self.identity:
-            factors.pop()
-        lead = 0
-        while lead < len(factors) and factors[lead] == self.delta:
-            lead += 1
-        return GarsideNormalForm(self.n, infimum + lead, tuple(factors[lead:]))
-
-    def right(self, nf: GarsideNormalForm, s: Perm, inverse: bool) -> GarsideNormalForm:
-        """Normal form of nf times the simple element s, or times s^{-1}."""
-        infimum = nf.infimum
-        factors = list(nf.factors)
-        if inverse:
-            # x s^{-1} = Delta^{-1} tau(x) (Delta s^{-1}), and Delta s^{-1} is simple.
-            infimum -= 1
-            factors = list(map(self.tau, factors))
-            s = _perm_mul(self.delta, self.inv(s))
-        return self._normalised(infimum, [*factors, s], range(len(factors) - 1, -1, -1))
-
-    def spell(self, nf: GarsideNormalForm) -> tuple[int, ...]:
-        """An Artin word for nf."""
-        delta = self.word(self.delta) if nf.infimum else ()
-        if nf.infimum < 0:
-            delta = tuple(-e for e in reversed(delta))
-        return tuple(itertools.chain(delta * abs(nf.infimum), *map(self.word, nf.factors)))
-
-
 def garside_normal_form(w: BraidWord) -> GarsideNormalForm:
     """Unique left-greedy normal form of the braid element of w.
 
     Starting from the identity, the normal form is right-multiplied by the
     simple element of each letter in turn (Elrifai and Morton, 1994): one
     right-to-left pass of pair normalisations, stopping at the first pair
-    already left-weighted, keeps the factors left-weighted.
+    already left-weighted, keeps the factors left-weighted.  An inverse
+    letter uses x sigma_i^{-1} = Delta^{-1} tau(x) (Delta sigma_i^{-1}): the
+    infimum drops by one, every factor is conjugated by the half twist, and
+    the simple element Delta sigma_i^{-1} is appended.
     """
     n = w.strands
-    garside = _Garside(n)
-    nf = GarsideNormalForm(n, 0, ())
+    identity = _identity(n)
+    delta = _half_twist(n)
+    infimum = 0
+    factors: list[Perm] = []
     for e in w.letters:
-        nf = garside.right(nf, _transposition(n, abs(e)), e < 0)
-    return nf
+        s = _transposition(n, abs(e))
+        if e < 0:
+            infimum -= 1
+            factors = [_tau(f) for f in factors]
+            s = _perm_mul(delta, s)
+        factors.append(s)
+        for k in range(len(factors) - 2, -1, -1):
+            pair = _weigh(factors[k], factors[k + 1])
+            if pair is None:
+                break
+            factors[k], factors[k + 1] = pair
+        if factors[-1] == identity:
+            factors.pop()
+    lead = 0
+    while lead < len(factors) and factors[lead] == delta:
+        lead += 1
+    return GarsideNormalForm(n, infimum + lead, tuple(factors[lead:]))
 
 
 def _least_rotation(letters: tuple[int, ...]) -> int:

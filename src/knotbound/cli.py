@@ -31,6 +31,7 @@ from .homfly import homfly, packed_width
 from .khovanov import (
     BigradedRanks,
     braid_to_pd,
+    check_crossings,
     pd_from_text,
     pd_to_text,
     poincare_polynomial,
@@ -73,6 +74,7 @@ def _compute(name: str, w: BraidWord, rep: BraidWord, knot: bool) -> dict:
     if name == "khovanov":
         scanned = (braid.scan_word(rep) if knot
                    else w.with_letters(braid.reduce_handles(w.letters)))
+        check_crossings(len(scanned))
         return {"khovanov": reduced_khovanov(braid_to_pd(scanned)).triples()}
     sigma, det = seifert(w)
     return {"signature": sigma, "determinant": det}

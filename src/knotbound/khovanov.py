@@ -40,6 +40,7 @@ __all__ = [
     "pd_to_text",
     "pd_from_text",
     "TooManyCrossings",
+    "check_crossings",
     "MAX_OBJECTS",
     "MAX_SCAN_OBJECTS",
 ]
@@ -61,6 +62,20 @@ MAX_SCAN_OBJECTS = 50_000
 class TooManyCrossings(PreconditionFailed):
     """A scanning step would build more than ``MAX_OBJECTS`` objects, or
     the scan more than ``MAX_SCAN_OBJECTS`` over its steps."""
+
+
+def check_crossings(crossings: int) -> None:
+    """Refuse a scan of ``crossings`` crossings that ``MAX_SCAN_OBJECTS``
+    refuses for sure: raise ``TooManyCrossings`` when 2 * crossings is over
+    it.  Each step tensors every object with both resolutions, and the
+    complex never cancels to empty, since a link's reduced homology is
+    nonzero; so a step builds at least two objects.  It reads the count
+    alone, so a caller can refuse a word before building its diagram."""
+    if 2 * crossings > MAX_SCAN_OBJECTS:
+        raise TooManyCrossings(
+            f"the scan of {crossings} crossings needs at least {2 * crossings} "
+            f"objects, over the budget of {MAX_SCAN_OBJECTS}"
+        )
 
 
 @dataclass(frozen=True)
@@ -734,8 +749,11 @@ def reduced_khovanov(pd: PlanarDiagram) -> BigradedRanks:
     circle multiplies the result by q + q^-1.
 
     Raises ``TooManyCrossings`` before a step would build more than
-    ``MAX_OBJECTS`` objects, or the scan more than ``MAX_SCAN_OBJECTS``.
+    ``MAX_OBJECTS`` objects, or the scan more than ``MAX_SCAN_OBJECTS``;
+    ``check_crossings`` refuses a diagram too large for the latter before
+    the scan order is chosen.
     """
+    check_crossings(len(pd.crossings))
     marked, cut = pd.marked_edge, pd.n_edges
     ends, seen = [], False
     for ports, _ in pd.crossings:

@@ -15,7 +15,6 @@ from knotbound.braid import (
     GarsideNormalForm,
     NotDestabilizable,
     QPFactorization,
-    _Garside,
     _half_twist,
     _identity,
     _least_rotation,
@@ -249,35 +248,13 @@ def mixed_sign_words(draw):
 @example(BraidWord(4, ()))
 @example(BraidWord(3, (-1, -2, -1, -2, -2, -1)))
 @example(BraidWord(5, (-4, -3, -2, -1) * 3))
+# -1, then the inverse of the permutation braid 2 1: infimum -2.
+@example(BraidWord(3, (-1, -1, -2)))
+# A half twist times sigma_1, then the permutation braid 1 3 2: infimum 1,
+# with factors after the half twist.
+@example(BraidWord(4, (1, 2, 1, 3, 2, 1, 1, 1, 3, 2)))
 def test_garside_matches_fixpoint_oracle(w):
     assert garside_normal_form(w) == _garside_fixpoint(w)
-
-
-@st.composite
-def word_and_permutation(draw):
-    n = draw(st.integers(2, 6))
-    gens = st.sampled_from([s * g for g in range(1, n) for s in (1, -1)])
-    w = BraidWord(n, tuple(draw(st.lists(gens, max_size=20))))
-    return w, tuple(draw(st.permutations(range(n))))
-
-
-@settings(max_examples=200, deadline=None)
-@given(word_and_permutation())
-# Infimum -1, and -2 after the inverse product.
-@example((BraidWord(3, (-1,)), (1, 2, 0)))
-# Infimum 1, with a factor after the half twist.
-@example((BraidWord(4, (1, 2, 1, 3, 2, 1, 1)), (2, 0, 3, 1)))
-def test_simple_products_match_normal_form(case):
-    w, p = case
-    nf = garside_normal_form(w)
-    garside = _Garside(w.strands)
-    word = permutation_braid_word(p)
-    inv = tuple(-e for e in reversed(word))
-    for product, letters in (
-        (garside.right(nf, p, False), w.letters + word),
-        (garside.right(nf, p, True), w.letters + inv),
-    ):
-        assert product == garside_normal_form(w.with_letters(letters))
 
 
 @given(letters_4)
@@ -426,27 +403,6 @@ def test_permutation_word_matches_rescan_oracle():
     for n in range(1, 7):
         for p in itertools.permutations(range(n)):
             assert permutation_braid_word(p) == _permutation_word_by_rescans(p)
-
-
-def test_artin_word_spells_half_twists():
-    delta = permutation_braid_word(_half_twist(4))
-    inv = tuple(-e for e in reversed(delta))
-    f = (1, 0, 2, 3)
-    assert GarsideNormalForm(4, 0, (f,)).artin_word() == (1,)
-    assert GarsideNormalForm(4, 2, (f,)).artin_word() == delta * 2 + (1,)
-    assert GarsideNormalForm(4, -1, ()).artin_word() == inv
-
-
-def test_artin_word_spells_no_half_twist_at_infimum_zero(monkeypatch):
-    spelled = []
-
-    def recording(p):
-        spelled.append(p)
-        return permutation_braid_word(p)
-
-    monkeypatch.setattr(braid, "permutation_braid_word", recording)
-    assert GarsideNormalForm(40, 0, ((1, 0, *range(2, 40)),)).artin_word() == (1,)
-    assert _half_twist(40) not in spelled
 
 
 # --- destabilization ---------------------------------------------------------

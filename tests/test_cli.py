@@ -624,6 +624,39 @@ def test_scan_budget_exit_3(tmp_path, capsys, monkeypatch):
         assert steps and sum(steps) < total
 
 
+def test_scan_refused_from_its_crossing_count(capsys):
+    # A step builds at least two objects, so 30,001 crossings are over
+    # MAX_SCAN_OBJECTS; the word is refused before its diagram is built.
+    text = " ".join(["1"] * 30_001)
+    start = time.process_time()
+    code, out, err = run(capsys, ["invariants", text, "--strands", "2", "--khovanov"])
+    seconds = time.process_time() - start
+    assert (code, out) == (3, "")
+    assert "the scan of 30001 crossings needs at least 60002 objects" in err
+    assert "Traceback" not in err
+    assert seconds < 0.5, seconds
+
+
+def test_pd_file_scan_refused_before_its_order(tmp_path, capsys, monkeypatch):
+    def refuse(pd):
+        raise RuntimeError("the crossing count must refuse before the scan order")
+
+    pd = khovanov.braid_to_pd(parse_braid_word(KSTAR_TEXT, 3))
+    c = len(pd.crossings)
+    pd_file = tmp_path / "over.pd"
+    pd_file.write_text(khovanov.pd_to_text(pd))
+    monkeypatch.setattr(khovanov, "MAX_SCAN_OBJECTS", 2 * c)
+    khovanov.check_crossings(c)
+    monkeypatch.setattr(khovanov, "MAX_SCAN_OBJECTS", 2 * c - 1)
+    monkeypatch.setattr(khovanov, "_scan_order", refuse)
+    with pytest.raises(khovanov.TooManyCrossings):
+        khovanov.reduced_khovanov(pd)
+    code, out, err = run(capsys, ["invariants", "--pd-file", str(pd_file), "--khovanov"])
+    assert (code, out) == (3, "")
+    assert f"the scan of {c} crossings needs at least {2 * c} objects" in err
+    assert "Traceback" not in err
+
+
 def closed_to(w, components):
     """w times a shortest permutation braid after which its closure has
     ``components`` components."""

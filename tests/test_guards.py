@@ -1,6 +1,9 @@
-"""Source-level rules that keep the result guards in force."""
+"""Source-level rules: the result guards stay in force, the library holds no
+unused import, and every name the benchmark looks up exists."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import knotbound
@@ -43,3 +46,57 @@ def test_no_process_global_state_in_functions():
                                        getattr(node, "name", None)):
                 found.append(f"{name}:{node.lineno} setrecursionlimit")
     assert found == []
+
+
+def _imported(node):
+    """(bound name, line) of each name an import statement binds."""
+    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        return []
+    return [((a.asname or a.name).split(".")[0], a.lineno) for a in node.names]
+
+
+def test_no_unused_imports_in_library():
+    # The project runs no linter, so an import left behind by a deletion
+    # stays unless a rule finds it.  __init__.py re-exports its imports, and
+    # a line marked "noqa: F401" holds a name for a tracer to patch.
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text, filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [f"{path.name}:{line} {name}" for name, line in _imported(node)
+                          if name not in used and "# noqa: F401" not in lines[line - 1]]
+    assert found == []
+
+
+def test_names_the_benchmark_looks_up_resolve():
+    # The tracer getattrs every FUNCTIONS entry on its module and on each
+    # module it patches, and reads every METHODS entry from the class
+    # __dict__; the benchmark children call homfly.clear_cache.  Only a
+    # traced run would notice a deleted name.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for mod_name, attr, _, _, targets in tracing.FUNCTIONS:
+        for owner in (mod_name, *(targets or ())):
+            if not hasattr(importlib.import_module(owner), attr):
+                missing.append(f"{owner}.{attr}")
+    for mod_name, cls_name, attr, _, _ in tracing.METHODS:
+        cls = getattr(importlib.import_module(mod_name), cls_name, None)
+        if attr not in getattr(cls, "__dict__", {}):
+            missing.append(f"{mod_name}.{cls_name}.{attr}")
+    if not callable(getattr(importlib.import_module("knotbound.homfly"), "clear_cache", None)):
+        missing.append("knotbound.homfly.clear_cache")
+    for path in sorted(SOURCE.glob("*.py")):
+        module = importlib.import_module(
+            "knotbound" if path.stem == "__init__" else f"knotbound.{path.stem}")
+        missing += [f"{module.__name__}.{name}" for name in getattr(module, "__all__", ())
+                    if not hasattr(module, name)]
+    assert missing == []
