@@ -9,12 +9,15 @@ record the first one stored.  Each word is one in-process call of
 with an empty cache directory, so every pass does the same work.
 
 Each part is timed in CPU time by a wrapper, put in place for the run and
-removed after it:
+removed after it.  The parts are disjoint: a part timed inside another one
+counts only as itself.
 
 * ``parse``: the outermost ``argparse`` parse of the query's argv;
 * ``lookup``: ``ResultCache.load``;
 * ``compute``: ``cli._compute``, the invariants a record lacks;
-* ``render``: ``cli._aq_payload``, the HOMFLYPT payload of the output;
+* ``render``: ``cli._aq_payload``, the HOMFLYPT payload that ``_compute``
+  stores; a cached record holds it as printed, so it runs only for
+  computed records;
 * ``emit``: ``cli._emit``, the JSON text written to stdout;
 * ``other``: the rest of ``cli.main``.
 
@@ -70,20 +73,24 @@ def queries(seed: int, groups: int = GROUPS) -> list[tuple[int, tuple[int, ...]]
 
 @contextlib.contextmanager
 def timers(seconds: dict):
-    """Wrap each part in a CPU-time wrapper that adds to ``seconds``."""
-    running = set()
+    """Wrap each part in a CPU-time wrapper that adds to ``seconds``, and
+    takes the time of a part run inside another from the outer one."""
+    running = []
 
     def timed(part, fn):
         def wrapper(*args, **kwargs):
             if part in running:  # a subparser's parse inside the full parser's
                 return fn(*args, **kwargs)
-            running.add(part)
+            running.append(part)
             start = time.process_time()
             try:
                 return fn(*args, **kwargs)
             finally:
-                seconds[part] += time.process_time() - start
-                running.discard(part)
+                elapsed = time.process_time() - start
+                running.pop()
+                seconds[part] += elapsed
+                if running:
+                    seconds[running[-1]] -= elapsed
         return wrapper
 
     patches = [

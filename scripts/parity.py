@@ -9,8 +9,9 @@ both get the same seeded inputs:
 * ``cli.main`` on a seeded corpus of command lines, bad ones included: the
   same exit code, stdout and stderr;
 * result-cache reads of seeded cache files that mix current records,
-  records of other versions, torn and blank lines, keyless garbage, and
-  lines ended by ``\n``, ``\r\n`` or a lone ``\r``: the same
+  records of other versions, stored HOMFLYPT payloads well-formed and
+  malformed, torn and blank lines, keyless garbage, and lines ended by
+  ``\n``, ``\r\n`` or a lone ``\r``: the same
   ``ResultCache.load`` of every key in the file and of one missing key, the
   same ``records()``, and the same warning messages of each, in order.
 
@@ -127,6 +128,19 @@ def cli_inputs(seed: int, count: int) -> list[list[str]]:
     return fixed[:count] + lines
 
 
+# A stored HOMFLYPT as the CLI prints it, drawn twice as often as each
+# malformed one: no text (the version-3 form), a text that is not a
+# string, an extra key, ascending terms, a repeated degree, a zero
+# coefficient, a negative clearing and a short term.
+GOOD_HOMFLY = {"terms": [[1, 0, 1], [-1, 2, -1]], "clearing": 0, "text": "a - a^-1q^2"}
+CACHE_HOMFLY = (
+    None, GOOD_HOMFLY, GOOD_HOMFLY,
+    {"terms": GOOD_HOMFLY["terms"], "clearing": 0}, {**GOOD_HOMFLY, "text": 5},
+    {**GOOD_HOMFLY, "poincare": "1"}, {**GOOD_HOMFLY, "terms": [[-1, 2, -1], [1, 0, 1]]},
+    {**GOOD_HOMFLY, "terms": [[1, 0, 2], [1, 0, 1]]},
+    {**GOOD_HOMFLY, "terms": [[1, 0, 1], [-1, 2, 0]]}, {**GOOD_HOMFLY, "clearing": -1},
+    {**GOOD_HOMFLY, "terms": [[1, 0]]},
+)
 CACHE_KEYS = ("(3,(1,2))", "(2,(1,1,1))", "k", 'q"uote', "back\\slash", "é", "")
 # Blank lines and lines with no readable key.
 CACHE_GARBAGE = (b"", b"  ", b"\t\x0c", b"[]", b"null", b"not json", b"\xff\xfe",
@@ -136,8 +150,7 @@ CACHE_GARBAGE = (b"", b"  ", b"\t\x0c", b"[]", b"null", b"not json", b"\xff\xfe"
 def cache_record_line(rng: random.Random, key: str) -> bytes:
     """A record line of ``key``: current or of another version, with
     well-formed or malformed invariants, whole or torn."""
-    homfly = rng.choice((None, {"terms": [[1, 0, 1], [-1, 2, -1]], "clearing": 0},
-                         {"terms": [[1, 0]], "clearing": 0}))
+    homfly = rng.choice(CACHE_HOMFLY)
     khovanov = rng.choice((None, [[0, 0, 1], [2, 4, 1]], [["x", 0, 1]]))
     rec = knotbound.cache.InvariantRecord(
         canonical_key=key, strands=rng.randint(1, 4), writhe=rng.randint(-3, 3),

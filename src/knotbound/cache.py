@@ -17,7 +17,7 @@ not followed by ``_RECORD_OPEN``, after which alone a line with no key can
 start.  Warnings number lines as ``bytes.splitlines`` does, counted on from
 the line last warned about, so a read is linear in the file.  A corrupt line
 (not UTF-8, or not a record of well-typed fields), or a served invariant
-with malformed terms, is skipped with a warning and recomputed; it never
+not in its stored form, is skipped with a warning and recomputed; it never
 aborts a computation, and the next append starts on a line of its own.  A
 lookup warns only about lines it could serve: a corrupt line of another key
 is reported by ``cache list`` and by lookups of that key.  A record of
@@ -29,12 +29,12 @@ The cache assumes a single writer: concurrent processes appending to one
 file are not coordinated.  The location is an explicit directory or the
 KNOTBOUND_CACHE environment variable; with neither, the cache is off.
 
-``CACHE_VERSION`` stayed 3 when keys began to destabilize.  A word that does
-not destabilize keeps its key string.  A word that does gets its
-destabilization's key, whose version-3 records describe the same link and
-were written by a word with that key, so they carry the key word's strand
-count and writhe.  The old key of a destabilizable word has a top generator
-that occurs once, which no new key has, so such records are never served.
+``CACHE_VERSION`` 4 stores HOMFLYPT as the CLI prints it: the terms in
+descending (e_a, e_q) order, the clearing exponent and the rendered text, so a
+served record is printed as it is, with no rebuild or render.  A stored value
+not in that form is corrupt.  A version-3 record holds only the terms and the
+clearing; like any record of another version it is ignored, and the closure
+is computed once more.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from typing import Optional
 ENV_VAR = "KNOTBOUND_CACHE"
 _FILE_NAME = "invariants.jsonl"
 # Bump when an engine's output or the record layout changes.
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 # Every line is written with sort_keys and json's default separators, so the
 # line of key k holds _KEY_FIELD + json.dumps(k).
 _KEY_FIELD = b'"canonical_key": '
@@ -86,7 +86,8 @@ class InvariantRecord:
     strands: int
     writhe: int
     components: int
-    homfly: Optional[dict] = None  # {"terms": [[e_a, e_q, c]...], "clearing": m}
+    # As the CLI prints it: {"terms": [[e_a, e_q, c]...], "clearing": m, "text": s}
+    homfly: Optional[dict] = None
     khovanov: Optional[list] = None  # [[I, J, rank]...]
     signature: Optional[int] = None
     determinant: Optional[int] = None
@@ -182,14 +183,35 @@ def _int_triples(value) -> bool:
     )
 
 
+def _printed_aq(h: dict) -> bool:
+    """Whether ``h`` is a HOMFLYPT payload as the CLI prints it: int triples
+    in strictly descending (e_a, e_q) order with nonzero coefficients, an
+    int clearing exponent >= 0 and the rendered text, and nothing else."""
+    if h.keys() != {"terms", "clearing", "text"}:
+        return False
+    terms, clearing = h["terms"], h["clearing"]
+    if not (type(terms) is list and type(clearing) is int and clearing >= 0
+            and type(h["text"]) is str):
+        return False
+    above = None
+    for t in terms:
+        if type(t) is not list or len(t) != 3:
+            return False
+        ea, eq, c = t
+        if not (type(ea) is type(eq) is type(c) is int and c
+                and (above is None or above > (ea, eq))):
+            return False
+        above = ea, eq
+    return True
+
+
 def _servable(rec: InvariantRecord) -> InvariantRecord:
-    """``rec`` without invariants whose terms are corrupt (with a warning),
+    """``rec`` without invariants not in their stored form (with a warning),
     and without a link's Khovanov table: that table depends on the marked
     component, and conjugates sharing the key may mark another one."""
     h, kh = rec.homfly, rec.khovanov
     corrupt = {
-        "homfly": h is not None and not (
-            _int_triples(h.get("terms")) and type(h.get("clearing")) is int),
+        "homfly": h is not None and not _printed_aq(h),
         "khovanov": kh is not None and not _int_triples(kh),
     }
     drop = {name: None for name, bad in corrupt.items() if bad}

@@ -65,12 +65,12 @@ def _emit(payload: dict, as_json: bool) -> None:
 
 def _compute(name: str, w: BraidWord, rep: BraidWord, knot: bool) -> dict:
     """Record fields for the invariant ``name`` of the closure of ``w``;
-    ``rep`` is the closure key's word (see ``_invariant_payload``).  The
-    signature and the determinant come from one elimination, so asking for
-    either gives both."""
+    ``rep`` is the closure key's word (see ``_invariant_payload``).
+    HOMFLYPT is stored as it is printed, rendered here once.  The signature
+    and the determinant come from one elimination, so asking for either
+    gives both."""
     if name == "homfly":
-        aq = to_aq(homfly(rep))
-        return {"homfly": {"terms": aq.triples(), "clearing": aq.clearing}}
+        return {"homfly": _aq_payload(to_aq(homfly(rep)))}
     if name == "khovanov":
         scanned = (braid.scan_word(rep) if knot
                    else w.with_letters(braid.reduce_handles(w.letters)))
@@ -81,8 +81,10 @@ def _compute(name: str, w: BraidWord, rep: BraidWord, knot: bool) -> dict:
 
 
 def _invariant_payload(w: BraidWord, wanted: tuple[str, ...], cache: ResultCache) -> dict:
-    """Render the ``wanted`` invariants (names from ``INVARIANTS``), each
-    computed only if the cached record of the closure lacks it.
+    """The printed payload of the ``wanted`` invariants (names from
+    ``INVARIANTS``), each computed only if the cached record of the closure
+    lacks it.  The record holds HOMFLYPT as it is printed, so a stored value
+    goes out as it is; only a Khovanov table is rendered, from its ranks.
 
     The record is keyed by the closure key, and what depends only on the
     closure is computed from the key's word ``BraidWord(*key)``: HOMFLYPT,
@@ -127,11 +129,7 @@ def _invariant_payload(w: BraidWord, wanted: tuple[str, ...], cache: ResultCache
                      "writhe": braid.writhe(w), "components": record.components}
     for name in wanted:
         value = getattr(record, name)
-        if name == "homfly":
-            value = _aq_payload(AQPolynomial.from_dict(
-                {(ea, eq): c for ea, eq, c in value["terms"]}, value["clearing"]
-            ))
-        elif name == "khovanov":
+        if name == "khovanov":
             value = _kh_payload(BigradedRanks.from_dict({(i, j): r for i, j, r in value}))
         payload[name] = value
     return payload

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from knotbound import cli, khovanov
+from knotbound import cli, khovanov, laurent
 from knotbound.braid import (
     MAX_FAMILY_LETTERS,
     MAX_STRANDS,
@@ -47,6 +47,7 @@ from knotbound.cache import (
 )
 from knotbound.cli import build_parser, main
 from knotbound.homfly import MAX_WIDTH, TooManyTerms, homfly
+from knotbound.laurent import to_aq
 from conftest import random_word
 
 
@@ -1075,6 +1076,44 @@ def test_cache_malformed_line_recomputed(tmp_path, capsys, line):
     assert json.loads(direct)["khovanov"]["ranks"] == appended.khovanov
 
 
+TREFOIL_HOMFLY = cli._aq_payload(to_aq(homfly(parse_braid_word("1 1 1", 2))))
+_TREFOIL_TERMS = TREFOIL_HOMFLY["terms"]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {"terms": _TREFOIL_TERMS, "clearing": 0},
+        {**TREFOIL_HOMFLY, "text": 5},
+        {**TREFOIL_HOMFLY, "poincare": "1"},
+        {**TREFOIL_HOMFLY, "terms": _TREFOIL_TERMS[::-1]},
+        # Descending as whole triples, but the degree (4, 0) occurs twice.
+        {**TREFOIL_HOMFLY, "terms": [[4, 0, 1]] + _TREFOIL_TERMS},
+        {**TREFOIL_HOMFLY, "terms": _TREFOIL_TERMS + [[0, 0, 0]]},
+        {**TREFOIL_HOMFLY, "clearing": -1},
+        {**TREFOIL_HOMFLY, "terms": [[4, 0, "-1"]] + _TREFOIL_TERMS[1:]},
+        {**TREFOIL_HOMFLY, "terms": [[4.0, 0, -1]] + _TREFOIL_TERMS[1:]},
+    ],
+    ids=["no-text", "int-text", "extra-key", "ascending", "repeated-degree",
+         "zero-coefficient", "negative-clearing", "string-coefficient", "float-degree"],
+)
+def test_cache_malformed_homfly_recomputed(tmp_path, capsys, value):
+    # A stored HOMFLYPT is printed as it is, so only the exact printed form
+    # is served.
+    argv = ["invariants", "1 1 1", "--strands", "2", "--homfly", "--json"]
+    _, direct, _ = run(capsys, argv)
+    path = tmp_path / "invariants.jsonl"
+    path.write_text(json.dumps({**TREFOIL_LINE, "homfly": value}, sort_keys=True) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run(capsys, argv + ["--cache-dir", str(tmp_path)])
+    assert (code, out) == (0, direct)
+    assert [str(w.message) for w in caught] == [
+        f"skipping corrupt cache fields ['homfly'] of {TREFOIL_KEY}"]
+    appended = InvariantRecord.from_json(path.read_text().splitlines()[1])
+    assert appended.homfly == json.loads(direct)["homfly"] == TREFOIL_HOMFLY
+
+
 def test_cache_unreadable_file_not_fatal(tmp_path, capsys, monkeypatch):
     argv = ["invariants", "1 1 1", "--strands", "2", "--homfly", "--json",
             "--cache-dir", str(tmp_path)]
@@ -1177,18 +1216,57 @@ def test_cache_shared_by_stabilizations(tmp_path, capsys, monkeypatch, first):
         "(3,(-2,1,-2,1))", 3, 0)
 
 
-def test_cache_serves_version_3_record_to_stabilization(tmp_path, capsys, monkeypatch):
-    # As a version-3 cache wrote the figure-eight knot before keys destabilized.
+def test_cache_serves_version_4_record_to_stabilization(tmp_path, capsys, monkeypatch):
+    argv = ["invariants", "1 -2 1 -2 -3", "--strands", "4", "--homfly", "--seifert",
+            "--json"]
+    cache_argv = ["--cache-dir", str(tmp_path)]
+    _, direct, _ = run(capsys, argv)
+    # The figure-eight knot as a version-4 cache stores it: HOMFLYPT as printed.
     line = {"canonical_key": "(3,(-2,1,-2,1))", "components": 1,
-            "created": "2026-01-01T00:00:00+00:00", "determinant": 5, "homfly": None,
-            "khovanov": None, "signature": 0, "strands": 3, "version": 3, "writhe": 0}
+            "created": "2026-01-01T00:00:00+00:00", "determinant": 5,
+            "homfly": json.loads(direct)["homfly"], "khovanov": None, "signature": 0,
+            "strands": 3, "version": 4, "writhe": 0}
+    assert set(line["homfly"]) == {"terms", "clearing", "text"}
     path = tmp_path / "invariants.jsonl"
     path.write_text(json.dumps(line, sort_keys=True) + "\n")
-    argv = ["invariants", "1 -2 1 -2 -3", "--strands", "4", "--seifert", "--json"]
-    _, direct, _ = run(capsys, argv)
-    _refuse_engines(monkeypatch)
-    assert run(capsys, argv + ["--cache-dir", str(tmp_path)]) == (0, direct, "")
+    with monkeypatch.context() as patch:
+        _refuse_engines(patch)
+        assert run(capsys, argv + cache_argv) == (0, direct, "")
     assert path.read_text() == json.dumps(line, sort_keys=True) + "\n"
+    # A version-3 record held HOMFLYPT without its text.  It is not corrupt,
+    # only old: ignored without a warning, and a current record is appended.
+    old = {**line, "homfly": {"terms": line["homfly"]["terms"], "clearing": 0},
+           "version": 3}
+    path.write_text(json.dumps(old, sort_keys=True) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(capsys, argv + cache_argv) == (0, direct, "")
+    first, appended = path.read_text().splitlines()
+    assert json.loads(first) == old
+    appended = InvariantRecord.from_json(appended)
+    assert (appended.version, appended.homfly) == (CACHE_VERSION, line["homfly"])
+
+
+def test_cache_hit_prints_stored_homfly(tmp_path, capsys, monkeypatch):
+    # A served HOMFLYPT is printed as the record holds it: nothing rebuilds
+    # the polynomial or renders it again.
+    queries = [["invariants", "1 -2 1 -2 3", "--strands", "4", "--homfly", *flag]
+               for flag in (["--json"], [])]
+    direct = [run(capsys, argv) for argv in queries]
+    cache_argv = ["--cache-dir", str(tmp_path)]
+    assert run(capsys, ["invariants", "1 -2 1 -2", "--strands", "3", "--homfly",
+                        *cache_argv])[0] == 0
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a served HOMFLYPT must be printed as stored")
+
+    monkeypatch.setattr(laurent.AQPolynomial, "render", refuse)
+    monkeypatch.setattr(laurent.AQPolynomial, "from_dict", staticmethod(refuse))
+    monkeypatch.setattr(cli, "to_aq", refuse)
+    monkeypatch.setattr(cli, "homfly", refuse)
+    for argv, expected in zip(queries, direct):
+        assert expected[0] == 0
+        assert run(capsys, argv + cache_argv) == expected
 
 
 ints = st.integers(-10**6, 10**6)
@@ -1199,7 +1277,8 @@ records = st.builds(
     strands=ints,
     writhe=ints,
     components=ints,
-    homfly=st.none() | st.fixed_dictionaries({"terms": triples, "clearing": ints}),
+    homfly=st.none() | st.fixed_dictionaries({"terms": triples, "clearing": ints})
+    | st.fixed_dictionaries({"terms": triples, "clearing": ints, "text": st.text(max_size=8)}),
     khovanov=st.none() | triples,
     signature=st.none() | ints,
     determinant=st.none() | ints,
@@ -1251,7 +1330,9 @@ key_records = st.builds(
     strands=small, writhe=small, components=st.sampled_from([1, 2]),
     homfly=st.none() | st.fixed_dictionaries(
         {"terms": st.lists(st.lists(small, min_size=3, max_size=3), max_size=2),
-         "clearing": small}),
+         "clearing": small}) | st.fixed_dictionaries(
+        {"terms": st.lists(st.lists(small, min_size=3, max_size=3), max_size=2),
+         "clearing": small, "text": st.sampled_from(["", "a"])}),
     khovanov=st.none() | st.lists(st.lists(small, min_size=3, max_size=3), max_size=2),
     signature=st.none() | small, determinant=st.none() | small,
     created=st.sampled_from(["", "t0", "t1"]),
