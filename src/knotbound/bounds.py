@@ -119,11 +119,6 @@ class BoundReport:
         d["deficit_upper"], d["deficit_lower"] = self.deficits
         return d
 
-    def render(self) -> str:
-        d = self.as_dict()
-        width = max(len(k) for k in d)
-        return "\n".join(f"{k.ljust(width)}  {v}" for k, v in d.items())
-
 
 def mfw_report(w: BraidWord) -> BoundReport:
     """Degrees, braid-index bound and both diagram equalities for w."""

@@ -19,12 +19,14 @@ the line last warned about, so a read is linear in the file.  A corrupt line
 (not UTF-8, or not a record of well-typed fields), or a served invariant
 not in its stored form, is skipped with a warning and recomputed; it never
 aborts a computation, and the next append starts on a line of its own.  A
-lookup warns only about lines it could serve: a corrupt line of another key
-is reported by ``cache list`` and by lookups of that key.  A record of
-another or no ``CACHE_VERSION`` is ignored without a warning, and the next
-store appends a current one.  A link's reduced Khovanov table depends on
-which component carries the marked edge, which conjugation moves, so it is
-never stored or served.
+record is checked for form, not recomputed: a value edited by hand that
+keeps its stored form is served as stored, and ``cache clear`` makes the
+program recompute.  A lookup warns only about lines it could serve: a
+corrupt line of another key is reported by ``cache list`` and by lookups of
+that key.  A record of another or no ``CACHE_VERSION`` is ignored without a
+warning, and the next store appends a current one.  A link's reduced
+Khovanov table depends on which component carries the marked edge, which
+conjugation moves, so it is never stored or served.
 The cache assumes a single writer: concurrent processes appending to one
 file are not coordinated.  The location is an explicit directory or the
 KNOTBOUND_CACHE environment variable; with neither, the cache is off.

@@ -98,8 +98,11 @@ def _invariant_payload(w: BraidWord, wanted: tuple[str, ...], cache: ResultCache
     Seifert surface is the query diagram's, so the signature and the
     determinant are computed from ``w``.
 
-    A served record never changes the output or the exit code.  What is
-    computed from the key's word is refused, or not, for the key alone.
+    A served record that this program wrote never changes the output or
+    the exit code.  A record is checked for form, not recomputed, so a value
+    edited by hand that keeps its stored form is printed as stored, until
+    ``cache clear``.  What is computed from the key's word is refused, or
+    not, for the key alone.
     The engines' checks that read ``w`` alone run on ``w`` before the
     lookup, so a word the engine refuses is refused even when a
     Markov-equivalent word has stored its values.
@@ -147,6 +150,9 @@ def _cmd_invariants(args) -> int:
             raise BraidError(f"{args.pd_file} is not UTF-8 text: {exc.reason}") from None
         _emit({"khovanov": _kh_payload(reduced_khovanov(pd_from_text(text)))}, args.json)
         return 0
+    if args.emit_pd and (args.homfly or args.khovanov or args.seifert or args.all
+                         or args.json or args.cache_dir):
+        raise BraidError("--emit-pd takes only a braid word and --strands")
     if args.strands is None:
         raise BraidError("--strands is required with a braid word")
     w = parse_braid_word(args.word, args.strands)
@@ -289,11 +295,6 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p_cache.set_defaults(func=_cmd_cache)
 
     return parser, sub.choices
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process."""
-    return _parsers()[0]
 
 
 def main(argv: Optional[list[str]] = None) -> int:

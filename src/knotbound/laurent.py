@@ -55,14 +55,6 @@ class LaurentPoly1:
     def evaluate(self, value: Fraction) -> Fraction:
         return sum((Fraction(c) * value**e for e, c in self.terms), Fraction(0))
 
-    def render(self, var: str = "t") -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in sorted(self.terms, reverse=True):
-            parts.append(_format_term(c, ((var, e),), lead=not parts))
-        return " ".join(parts)
-
 
 def _format_term(c: int, powers: tuple[tuple[str, int], ...], lead: bool) -> str:
     body = "".join(
@@ -85,10 +77,6 @@ class LaurentPoly2:
     @staticmethod
     def from_dict(d: Mapping[tuple[int, int], int]) -> "LaurentPoly2":
         return LaurentPoly2(tuple(sorted(_clean(d).items())))
-
-    @staticmethod
-    def zero() -> "LaurentPoly2":
-        return LaurentPoly2(())
 
     @staticmethod
     def one() -> "LaurentPoly2":

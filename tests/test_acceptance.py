@@ -6,6 +6,8 @@ five minutes.
 """
 
 import functools
+import importlib
+import pkgutil
 import random
 import time
 
@@ -251,10 +253,14 @@ def test_criterion_10_slice_genus_and_quadrant():
 def test_criterion_11_out_of_scope_acknowledgment():
     # The toolkit never computes the triply graded refinement: its grading
     # spans enter as explicit arguments, and only the bigraded collapse is
-    # exercised, pinned at the reference conversion value i + 2j = 4.
+    # exercised, pinned at the reference conversion value i + 2j = 4.  No
+    # module of the package defines a kr_homology.
     import knotbound
 
-    assert not hasattr(knotbound, "kr_homology")
+    names = [m.name for m in pkgutil.iter_modules(knotbound.__path__)]
+    assert {"homfly", "khovanov", "seifert", "bounds"} <= set(names)
+    for name in names:
+        assert not hasattr(importlib.import_module(f"knotbound.{name}"), "kr_homology")
     assert grading_convert(-4, 4, 4, 2)[0] == 4
     assert grading_convert(-4, 4, 4, 2) == (4, 0)
     assert grading_convert(-4, 4, 6, 2) == (4, 1)

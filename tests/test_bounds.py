@@ -239,4 +239,3 @@ def test_report_serialisation_roundtrip():
     d = r.as_dict()
     assert d["kr_bound"] == 3 and d["mfw_bound"] == 2
     assert "w_d" in d and "deficit_upper" in d
-    assert "kr_bound" in r.render()

