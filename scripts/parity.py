@@ -7,11 +7,13 @@ both get the same seeded inputs:
 * ``canonical_closure_key`` on seeded words of 1-7 strands, a third of them
   stabilized and then conjugated;
 * ``cli.main`` on a seeded corpus of command lines, bad ones included: the
-  same exit code, stdout and stderr;
+  same exit code, stdout and stderr.  It runs ``--emit-pd`` on seeded
+  words, and ``--pd-file`` on files it writes: the PD text of a seeded
+  word, or one of the malformed texts in ``BAD_PD``;
 * result-cache reads of seeded cache files that mix current records,
   records of other versions, stored HOMFLYPT payloads well-formed and
-  malformed, torn and blank lines, keyless garbage, and lines ended by
-  ``\n``, ``\r\n`` or a lone ``\r``: the same
+  malformed, torn and blank lines, keyless garbage, and line ends ``\n``
+  and ``\r\n`` beside a lone ``\r``, which a cache line keeps: the same
   ``ResultCache.load`` of every key in the file and of one missing key, the
   same ``records()``, and the same warning messages of each, in order.
 
@@ -40,6 +42,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import knotbound.braid  # noqa: E402
 import knotbound.cache  # noqa: E402
 import knotbound.cli  # noqa: E402
+import knotbound.khovanov  # noqa: E402
 
 BASE_PACKAGE = "knotbound_base"
 # Seed of the inputs, and inputs per part: key words, command lines and
@@ -91,9 +94,28 @@ def key_inputs(seed: int, count: int) -> list[tuple[int, tuple[int, ...]]]:
     return words
 
 
-def cli_inputs(seed: int, count: int) -> list[list[str]]:
-    """Command lines of every verb: words, families, bounds, the claims, and
-    usage, parse and precondition errors."""
+# PD texts that ``--pd-file`` refuses: a non-integer edge id, and a
+# trefoil's code (edges 0-5) with a second M line; a genus-1 code; a
+# trefoil's code in which edge 4 enters twice and edge 0 never.
+BAD_PD = (
+    "X 3 4 1 x +\nX 4 5 2 1 +\nX 5 3 0 2 +\nM 0\n",
+    "X 3 4 1 0 +\nX 4 5 2 1 +\nX 5 3 0 2 +\nM 0\nM 1\n",
+    "X 3 2 0 1 +\nX 0 2 1 3 -\nM 0\n",
+    "X 3 4 1 0 -\nX 4 5 2 1 +\nX 5 3 0 2 +\nM 0\n",
+)
+
+
+def pd_file(pd_dir: Path, text: str) -> str:
+    """The path of a new file in ``pd_dir`` that holds ``text``."""
+    path = pd_dir / f"{len(list(pd_dir.iterdir()))}.pd"
+    path.write_text(text)
+    return str(path)
+
+
+def cli_inputs(seed: int, count: int, pd_dir: Path) -> list[list[str]]:
+    """Command lines of every verb: words, families, bounds, the claims, PD
+    text out and in, and usage, parse and precondition errors.  The files
+    that ``--pd-file`` reads are written to ``pd_dir``."""
     rng = random.Random(seed + 2)
     fixed = [
         ["verify-paper"], ["verify-paper", "--json"],
@@ -104,13 +126,22 @@ def cli_inputs(seed: int, count: int) -> list[list[str]]:
         ["family", "elrifai-res", "--label", "0-", "--emit", "bounds"],
         ["bounds", "1 1 1", "--strands", "2", "--delta-minus", "4"],
         ["cache", "list"], ["frobnicate"], [],
+        *(["invariants", "--pd-file", pd_file(pd_dir, text), "--khovanov"]
+          for text in BAD_PD),
     ]
     lines = []
     for _ in range(max(0, count - len(fixed))):
         n = rng.randint(1, 4)
-        word = " ".join(map(str, random_letters(rng, n, rng.randint(0, 9))))
-        verb = rng.choice(("invariants", "invariants", "family", "bounds"))
-        if verb == "invariants":
+        letters = random_letters(rng, n, rng.randint(0, 9))
+        word = " ".join(map(str, letters))
+        verb = rng.choice(("invariants", "invariants", "family", "bounds", "pd"))
+        if verb == "pd":
+            diagram = knotbound.khovanov.braid_to_pd(knotbound.braid.BraidWord(n, letters))
+            path = pd_file(pd_dir, knotbound.khovanov.pd_to_text(diagram))
+            flags = rng.sample(["--khovanov", "--json"], rng.randint(0, 2))
+            lines.append(rng.choice((["invariants", word, "--strands", str(n), "--emit-pd"],
+                                     ["invariants", "--pd-file", path, *flags])))
+        elif verb == "invariants":
             flags = rng.sample(["--homfly", "--khovanov", "--seifert", "--all", "--json"],
                                rng.randint(0, 2))
             lines.append(["invariants", word, "--strands", str(n), *flags])
@@ -227,28 +258,30 @@ def clip(value) -> str:
 def compare(base: Path, seed: int, sizes: tuple[int, int, int]) -> dict[str, int]:
     """Print the mismatches of each part and return their counts."""
     base_braid, base_cli, base_cache = load_base(base)
-    parts = [
-        ("canonical_closure_key", key_outcome, knotbound.braid, base_braid,
-         key_inputs(seed, sizes[0])),
-        ("cli", cli_outcome, knotbound.cli, base_cli,
-         [(argv,) for argv in cli_inputs(seed, sizes[1])]),
-        ("cache", cache_outcome, knotbound.cache, base_cache, cache_inputs(seed, sizes[2])),
-    ]
     counts = {}
     # Neither tree may read or write a result cache.
     saved = os.environ.pop("KNOTBOUND_CACHE", None)
     try:
-        for name, outcome, ours, theirs, inputs in parts:
-            count, first = 0, ""
-            for i, args in enumerate(inputs):
-                here, there = outcome(ours, *args), outcome(theirs, *args)
-                if here != there:
-                    if not count:
-                        here, there = map(clip, first_difference(here, there))
-                        first = f"; first: input {i}, {here} here, {there} in the base"
-                    count += 1
-            counts[name] = count
-            print(f"{name}: {count} mismatches in {len(inputs)} inputs{first}")
+        with tempfile.TemporaryDirectory() as pd_dir:
+            parts = [
+                ("canonical_closure_key", key_outcome, knotbound.braid, base_braid,
+                 key_inputs(seed, sizes[0])),
+                ("cli", cli_outcome, knotbound.cli, base_cli,
+                 [(argv,) for argv in cli_inputs(seed, sizes[1], Path(pd_dir))]),
+                ("cache", cache_outcome, knotbound.cache, base_cache,
+                 cache_inputs(seed, sizes[2])),
+            ]
+            for name, outcome, ours, theirs, inputs in parts:
+                count, first = 0, ""
+                for i, args in enumerate(inputs):
+                    here, there = outcome(ours, *args), outcome(theirs, *args)
+                    if here != there:
+                        if not count:
+                            here, there = map(clip, first_difference(here, there))
+                            first = f"; first: input {i}, {here} here, {there} in the base"
+                        count += 1
+                counts[name] = count
+                print(f"{name}: {count} mismatches in {len(inputs)} inputs{first}")
     finally:
         if saved is not None:
             os.environ["KNOTBOUND_CACHE"] = saved

@@ -368,27 +368,23 @@ def garside_normal_form(w: BraidWord) -> GarsideNormalForm:
 
 
 def _least_rotation(letters: tuple[int, ...]) -> int:
-    """Start of the lexicographically least cyclic rotation, in O(L) (K. S.
-    Booth, "Lexicographically least circular substrings", Inf. Process.
-    Lett. 10, 1980): the failure function of the doubled word is built
-    against the best start found so far."""
-    doubled = letters + letters
-    fail = [-1] * len(doubled)
-    k = 0
-    for j in range(1, len(doubled)):
-        c = doubled[j]
-        i = fail[j - k - 1]
-        while i != -1 and c != doubled[k + i + 1]:
-            if c < doubled[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if c != doubled[k + i + 1]:  # i == -1
-            if c < doubled[k]:
-                k = j
-            fail[j - k] = -1
+    """Start of the lexicographically least cyclic rotation, in O(L).  Every
+    start below j but the candidate i is ruled out.  The rotations at i and j
+    are compared letter by letter, and a mismatch k letters in rules out the
+    k + 1 starts from the larger one's, so i + j grows by k + 1 or more."""
+    n, doubled = len(letters), letters + letters
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = doubled[i + k], doubled[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i, j = j, max(i + k, j) + 1
         else:
-            fail[j - k] = i + 1
-    return k
+            j += k + 1
+        k = 0
+    return i
 
 
 def _closure_key(n: int, letters: tuple[int, ...]) -> tuple:
@@ -408,7 +404,7 @@ def canonical_closure_key(w: BraidWord) -> tuple:
     and sigma_{n-1}^{+-1} occurs in it exactly once, that letter is deleted,
     the strand count drops to n - 1 and the word is cyclically reduced again.
     The key is the final strand count and the least cyclic rotation of the
-    final word, found in linear time by Booth's algorithm.
+    final word, found in linear time by a two-index scan.
 
     Equal keys imply isotopic oriented closures.  Conjugating w by any word
     and cyclically reducing gives a rotation of ``cyclic_reduce(w)``, so

@@ -1,4 +1,4 @@
-"""Advisory JSON-lines result cache keyed by a Markov-stable closure key.
+r"""Advisory JSON-lines result cache keyed by a Markov-stable closure key.
 
 One record per closure, append-only with dedupe on store.  The key is
 ``braid.canonical_closure_key``: the cyclically reduced word, destabilized
@@ -9,24 +9,26 @@ its key's word.  A record carries the strand count and writhe of its key's
 word, so that all records of one key agree; a query prints its own.  A
 lookup of key k decodes only k's lines and the lines with no readable key,
 and skips the lines that carry another key; ``records`` (``cache list``)
-decodes all.  Both find their lines by one walk over the file's bytes,
-without splitting it into lines (``_key_lines``): ``find`` walks the
-occurrences of k's field, or for ``records`` of the key mark that every
-record line holds, and one regular-expression scan finds the line breaks
-not followed by ``_RECORD_OPEN``, after which alone a line with no key can
-start.  Warnings number lines as ``bytes.splitlines`` does, counted on from
-the line last warned about, so a read is linear in the file.  A corrupt line
-(not UTF-8, or not a record of well-typed fields), or a served invariant
-not in its stored form, is skipped with a warning and recomputed; it never
-aborts a computation, and the next append starts on a line of its own.  A
-record is checked for form, not recomputed: a value edited by hand that
-keeps its stored form is served as stored, and ``cache clear`` makes the
-program recompute.  A lookup warns only about lines it could serve: a
-corrupt line of another key is reported by ``cache list`` and by lookups of
-that key.  A record of another or no ``CACHE_VERSION`` is ignored without a
-warning, and the next store appends a current one.  A link's reduced
-Khovanov table depends on which component carries the marked edge, which
-conjugation moves, so it is never stored or served.
+decodes all.  A line ends at ``\n``, as JSON Lines defines it, and drops one
+``\r`` just before that ``\n``, so ``\r\n`` ends a line as ``\n`` does and a
+lone ``\r`` stays inside its line.  Both reads find their lines by one walk
+over the file's bytes, without splitting it into lines (``_key_lines``):
+``find`` walks the occurrences of k's field, or for ``records`` of the key
+mark that every record line holds, and one regular-expression scan finds the
+``\n`` not followed by ``_RECORD_OPEN``, after which alone a line with no
+key can start.  A warning's line number counts the ``\n`` before the line,
+counted on from the line last warned about, so a read is linear in the file.
+A corrupt line (not UTF-8, or not a record of well-typed fields), or a
+served invariant not in its stored form, is skipped with a warning and
+recomputed; it never aborts a computation, and the next append starts on a
+line of its own.  A record is checked for form, not recomputed: a value
+edited by hand that keeps its stored form is served as stored, and ``cache
+clear`` makes the program recompute.  A lookup warns only about lines it
+could serve: a corrupt line of another key is reported by ``cache list`` and
+by lookups of that key.  A record of another or no ``CACHE_VERSION`` is
+ignored without a warning, and the next store appends a current one.  A
+link's reduced Khovanov table depends on which component carries the marked
+edge, which conjugation moves, so it is never stored or served.
 The cache assumes a single writer: concurrent processes appending to one
 file are not coordinated.  The location is an explicit directory or the
 KNOTBOUND_CACHE environment variable; with neither, the cache is off.
@@ -63,7 +65,6 @@ _KEY_MARK = _KEY_FIELD + b'"'
 # line that may hold no mark.
 _RECORD_OPEN = b"{" + _KEY_MARK
 _LOOSE_BREAK = re.compile(rb"\n(?!" + re.escape(_RECORD_OPEN) + rb"|\Z)")
-_BREAK = re.compile(rb"[\r\n]")
 # The computed fields of a record, in the order the CLI prints them.
 INVARIANTS = ("homfly", "khovanov", "signature", "determinant")
 
@@ -74,10 +75,9 @@ __all__ = [
 
 
 def key_string(key) -> str:
-    """Flat string form of a canonical closure key, stable across runs."""
-    if isinstance(key, tuple):
-        return "(" + ",".join(map(key_string, key)) + ")"
-    return str(key)
+    """Flat string form of a canonical closure key ``(strands, letters)``,
+    stable across runs: ``(3,(1,-2))``."""
+    return f"({key[0]},({','.join(map(str, key[1]))}))"
 
 
 @dataclass(frozen=True)
@@ -135,42 +135,39 @@ _TYPES = tuple(typing.get_args(_HINTS[n]) or _HINTS[n] for n in _NAMES)
 
 
 def _line_end(data: bytes, i: int) -> int:
-    r"""End offset of the ``splitlines`` line of ``data`` that holds offset
-    ``i``: the next ``\n`` or ``\r``, or the end of ``data``."""
-    m = _BREAK.search(data, i)
-    return m.start() if m else len(data)
+    r"""End offset of the line of ``data`` that holds offset ``i``: the end
+    of ``data``, or the next ``\n`` less one ``\r`` just before it."""
+    end = data.find(b"\n", i)
+    if end < 0:
+        return len(data)
+    return end - (data[end - 1:end] == b"\r")
 
 
 def _key_lines(data: bytes, needle: bytes) -> list[tuple[int, int]]:
-    r"""The (start, end) offsets, in file order, of the ``splitlines`` lines of
-    ``data`` that hold ``needle`` or hold no ``_KEY_MARK``.  With
-    ``_KEY_MARK`` as the needle, that is every line.
+    r"""The (start, end) offsets, in file order, of the lines of ``data``
+    that hold ``needle`` or hold no ``_KEY_MARK``.  With ``_KEY_MARK`` as
+    the needle, that is every line.
 
     Both searches run over the bytes, not line by line, and each reads a
     byte a bounded number of times, so the walk is linear in ``data``.
-    ``find`` walks the occurrences of ``needle``; the start of each one's
-    line is the last break between it and the end of the line before.  A
-    line with no mark cannot open a record, so it starts the file, or
-    follows a lone ``\r`` or a ``\n`` that opens no record;
-    ``_LOOSE_BREAK`` finds those ``\n`` in one scan.  Only the lines found
-    are sliced out of ``data``; a file this program wrote has no loose
-    break, so a lookup slices out only its key's lines.
+    ``find`` walks the occurrences of ``needle``; each one's line starts
+    after the last ``\n`` between it and the end of the line before.  A
+    line with no mark cannot open a record, so it starts the file or
+    follows a ``\n`` that opens no record; ``_LOOSE_BREAK`` finds those
+    ``\n`` in one scan.  Only the lines found are sliced out of ``data``; a
+    file this program wrote has no loose break, so a lookup slices out only
+    its key's lines.
     """
     spans = {}
     end = 0
     i = data.find(needle)
     while i >= 0:
-        start = max(data.rfind(b"\n", end, i), data.rfind(b"\r", end, i)) + 1
+        start = data.rfind(b"\n", end, i) + 1
         end = spans[start] = _line_end(data, i)
         i = data.find(needle, end)
     loose = [m.end() for m in _LOOSE_BREAK.finditer(data)]
     if not data.startswith(_RECORD_OPEN):
         loose.append(0)
-    r = data.find(b"\r")
-    while r >= 0:
-        if data[r + 1:r + 2] != b"\n":
-            loose.append(r + 1)
-        r = data.find(b"\r", r + 1)
     for start in loose:
         end = _line_end(data, start)
         if start not in spans and data.find(_KEY_MARK, start, end) < 0:
@@ -272,9 +269,7 @@ class ResultCache:
                 # A line that is not UTF-8 raises UnicodeDecodeError, a ValueError.
                 rec = from_json(line.decode())
             except ValueError as exc:
-                lineno += (data.count(b"\n", counted, start)
-                           + data.count(b"\r", counted, start)
-                           - data.count(b"\r\n", counted, start))
+                lineno += data.count(b"\n", counted, start)
                 counted = start
                 warnings.warn(f"skipping corrupt cache line {lineno}: {exc}")
                 continue

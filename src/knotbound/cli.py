@@ -168,9 +168,13 @@ def _cmd_invariants(args) -> int:
 
 def _family_from_args(args) -> BraidWord:
     build, params = braid.FAMILIES[args.kind]
+    flags = " ".join(f"--{p}" for p in params)
+    if any(getattr(args, p) is not None
+           for _, other in braid.FAMILIES.values() for p in other if p not in params):
+        raise BraidError(f"{args.kind} takes only {flags}")
     values = [getattr(args, p) for p in params]
     if None in values:
-        raise BraidError(f"{args.kind} requires " + " ".join(f"--{p}" for p in params))
+        raise BraidError(f"{args.kind} requires {flags}")
     return build(*values)
 
 
@@ -183,6 +187,12 @@ def _bound_payload(w: BraidWord, delta_minus, delta_plus) -> dict:
 
 
 def _cmd_family(args) -> int:
+    deltas = args.delta_minus is not None or args.delta_plus is not None
+    if ((deltas and args.emit != "bounds")
+            or (args.cache_dir is not None and args.emit != "invariants")):
+        takes = {"word": "--json", "invariants": "--json and --cache-dir",
+                 "bounds": "--json, --delta-minus and --delta-plus"}[args.emit]
+        raise BraidError(f"--emit {args.emit} takes only {takes} beside the family's options")
     w = _family_from_args(args)
     if args.emit == "word":
         if args.json:
@@ -218,6 +228,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_cache(args) -> int:
+    if args.action == "clear" and args.json:
+        raise BraidError("cache clear takes only --cache-dir")
     cache = ResultCache(args.cache_dir)
     if not cache.enabled:
         print(f"no cache directory configured (use --cache-dir or {ENV_VAR})",

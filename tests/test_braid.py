@@ -1,6 +1,7 @@
 import itertools
 import operator
 import random
+import time
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -313,13 +314,33 @@ def _least_rotation_by_min(letters):
 
 @settings(max_examples=300)
 @given(st.lists(st.sampled_from([1, -1, 2, -2, 3]), max_size=16)
-       | st.lists(st.sampled_from([1, 2]), max_size=16))
+       | st.lists(st.sampled_from([1, 2]), max_size=16)
+       | st.lists(st.sampled_from([1, -1, 2]), max_size=6).map(lambda w: w * 3))
 @example([1, 2, 1, 2, 1, 2])
 @example([2, 1, 1, 2, 1, 1, 2, 1])
+@example([2, 2, 1] * 3)
 def test_least_rotation_matches_min_oracle(letters):
     letters = tuple(letters)
     s = _least_rotation(letters)
     assert letters[s:] + letters[:s] == _least_rotation_by_min(letters)
+
+
+@pytest.mark.parametrize("case", ["descending", "periodic", "marked"])
+def test_least_rotation_is_linear(case):
+    n = 1_000_000
+    rng = random.Random(5)
+    marked = (-3,) + tuple(rng.choice((1, -1, 2, -2)) for _ in range(n - 1))
+    letters, least = {
+        "descending": ((2,) * (n - 1) + (1,), (1,) + (2,) * (n - 1)),
+        "periodic": ((2, 1) * (n // 2), (1, 2) * (n // 2)),
+        # -3 occurs once, so the least rotation starts at it.
+        "marked": (marked[1234:] + marked[:1234], marked),
+    }[case]
+    start = time.process_time()
+    s = _least_rotation(letters)
+    seconds = time.process_time() - start
+    assert letters[s:] + letters[:s] == least
+    assert seconds < 2, seconds
 
 
 @st.composite

@@ -992,6 +992,32 @@ def test_emit_pd_takes_only_a_word_and_strands(monkeypatch, tmp_path, capsys, ex
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("family torus2 --q 3 --k 5 --x 2", "torus2 takes only --q"),
+    ("family elrifai-res --label 0 --q 9", "elrifai-res takes only --label"),
+    ("family torus2 --q 3 --label 0", "torus2 takes only --q"),
+    ("family torus2 --q 3 --delta-minus 2 --delta-plus 4",
+     "--emit word takes only --json beside the family's options"),
+    ("family torus2 --q 3 --emit invariants --delta-minus 2",
+     "--emit invariants takes only --json and --cache-dir beside the family's options"),
+    ("family torus2 --q 3 --emit word --cache-dir CACHE",
+     "--emit word takes only --json beside the family's options"),
+    ("family torus2 --q 3 --emit bounds --cache-dir CACHE",
+     "--emit bounds takes only --json, --delta-minus and --delta-plus beside the family's "
+     "options"),
+    ("cache clear --json --cache-dir CACHE", "cache clear takes only --cache-dir"),
+], ids=["extra-parameters", "label-kind-parameter", "torus2-label", "word-deltas",
+        "invariants-delta", "word-cache-dir", "bounds-cache-dir", "clear-json"])
+def test_options_a_command_would_ignore_exit_2(tmp_path, capsys, argv, message):
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    (cache_dir / "invariants.jsonl").write_text("[]\n")
+    code, out, err = run(capsys, [str(cache_dir) if a == "CACHE" else a
+                                  for a in argv.split()])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert (cache_dir / "invariants.jsonl").read_text() == "[]\n"
+
+
 # --- cache ---------------------------------------------------------------------
 
 def test_cache_round_trip(tmp_path):
@@ -1319,10 +1345,16 @@ def test_record_round_trip_and_merge(rec, earlier):
 
 # --- per-key reads --------------------------------------------------------------
 
+def _cache_lines(data: bytes) -> list[bytes]:
+    r"""The lines of a cache file: split at each \n, one \r before each \n trimmed."""
+    *ended, last = data.split(b"\n")
+    return [line.removesuffix(b"\r") for line in ended] + [last]
+
+
 def _full_decode(data: bytes) -> dict:
     """Every current-version record of a cache file, merged per key in file order."""
     merged = {}
-    for line in data.splitlines():
+    for line in _cache_lines(data):
         try:
             rec = InvariantRecord.from_json(line.decode())
         except ValueError:
@@ -1368,7 +1400,7 @@ corrupt_lines = st.sampled_from([
     b"\r", b"\t \x0c", b" \r ", b"[]\r",
 ]) | key_records.map(lambda r: r.to_json().encode()[:-7]) | key_records.map(
     lambda r: json.dumps({**asdict(r), "strands": None}, sort_keys=True).encode()
-) | st.builds(  # a record with a \r in it: two lines to splitlines
+) | st.builds(  # a record with a lone \r in it, still one line
     _with_cr, key_records.map(lambda r: r.to_json().encode()), st.integers(0, 400),
 ) | st.builds(  # a torn record, then a whole one on the same line
     lambda torn, whole: torn.to_json().encode()[:-7] + whole.to_json().encode(),
@@ -1384,7 +1416,7 @@ def _oracle_warned_lines(data: bytes, key: str) -> list[int]:
     line is decoded if it holds the key's field or no key mark at all."""
     needle = b'"canonical_key": ' + json.dumps(key).encode()
     warned = []
-    for lineno, line in enumerate(data.splitlines(), 1):
+    for lineno, line in enumerate(_cache_lines(data), 1):
         if line.strip() and (line.find(needle) >= 0
                              or line.find(b'"canonical_key": "') < 0):
             try:
@@ -1456,6 +1488,22 @@ def test_cache_lookup_warns_only_about_lines_it_could_serve(tmp_path):
         assert _warned_lines(caught) == warned, key
 
 
+def test_cache_line_ends_at_newline_not_at_a_lone_cr(tmp_path):
+    k, k2 = (InvariantRecord(canonical_key=key, strands=2, writhe=1, components=1,
+                             signature=0) for key in ("k", "k2"))
+    # Line 1 is "[]", a lone \r and k's record; line 2 is "x"; line 3 is k2's.
+    (tmp_path / "invariants.jsonl").write_bytes(
+        b"[]\r" + k.to_json().encode() + b"\r\nx\r\n" + k2.to_json().encode() + b"\r\n")
+    cache = ResultCache(str(tmp_path))
+    for read, result, warned in ((lambda: cache.load("k"), None, [1, 2]),
+                                 (lambda: cache.load("k2"), k2, [2]),
+                                 (cache.records, [k2], [1, 2])):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert read() == result
+        assert _warned_lines(caught) == warned
+
+
 def test_cache_list_warns_once_per_corrupt_line(tmp_path, capsys):
     _file_with_corrupt_lines(tmp_path)
     path = tmp_path / "invariants.jsonl"
@@ -1478,10 +1526,12 @@ def _cpu_seconds(read) -> float:
 @pytest.mark.parametrize("read", ["load", "records"])
 def test_cache_read_over_unreadable_lines_is_linear(tmp_path, read):
     # Counting each warned line's number from the start of the file made a
-    # lookup quadratic in the file.  Lines end in \n, \r\n and a lone \r.
+    # lookup quadratic in the file.  Lines end in \n and \r\n, and every
+    # third holds a lone \r.
     count = 20_000
     (tmp_path / "invariants.jsonl").write_bytes(b"".join(
-        b"garbage %05d%s" % (i, (b"\n", b"\r\n", b"\r")[i % 3]) for i in range(count)))
+        (b"garbage %05d\n", b"garbage %05d\r\n", b"gar\rbage %05d\n")[i % 3] % i
+        for i in range(count)))
     cache = ResultCache(str(tmp_path))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
