@@ -7,9 +7,11 @@ the scan's boundary sizes from several start crossings, to a complex over
 dotted cobordisms with h = t = 0; each closed circle is delooped as it
 appears, and every isomorphism is cancelled after each crossing, so the
 complex stays near the size of the homology rather than the 2^c vertices
-of the cube of resolutions.  Gradings are normalised so the unknot has rank
-one at (0, 0) and the graded Euler characteristic reproduces the HOMFLYPT
-specialisation P(q^2, q).
+of the cube of resolutions.  The isomorphisms are cancelled in Markowitz
+order, the one whose cancellation composes the fewest maps first, and each
+glued cobordism is evaluated once per dot vector.  Gradings are normalised
+so the unknot has rank one at (0, 0) and the graded Euler characteristic
+reproduces the HOMFLYPT specialisation P(q^2, q).
 
 The reduced theory cuts the marked edge open into an arc whose dot acts as
 zero.  After the last crossing the dotted entries are dropped and the
@@ -47,15 +49,17 @@ __all__ = [
 
 # Most objects one scanning step of reduced_khovanov may build: the
 # delooped complex right after one crossing is tensored on, before
-# cancellation.  On 3-strand braids a step costs about 2 KiB per object,
-# entries and caches included, so the budget keeps one near 40 MiB;
-# elrifai-k(8), 82 crossings, peaks at 533 objects from its chosen start.
+# cancellation.  On 3-strand braids a step's traced peak is about 1.4 KiB
+# per object over its build and cancellation, entries and evaluation tables
+# included, and 2.1 KiB on the largest measured, of 4,592 objects; so the
+# budget keeps one near 40 MiB.  elrifai-k(8), 82 crossings, peaks at 533
+# objects from its chosen start.
 MAX_OBJECTS = 20_000
 # Most objects a whole scan may build, summed over its steps; it bounds the
 # time, which grows with the crossings even when every step is small.  The
 # largest scans measured fit with room: T(6, 7) builds 18,993 objects and
 # elrifai-k(8) 17,916.  The 2-strand closure of 182 letters 1 builds 49,778
-# in about 2 s; 183 letters are refused.
+# in under 1 s of CPU time; 183 letters are refused.
 MAX_SCAN_OBJECTS = 50_000
 
 
@@ -251,10 +255,11 @@ class BigradedRanks:
 
 
 def euler_polynomial(r: BigradedRanks) -> LaurentPoly1:
-    """Graded Euler characteristic: sum of (-1)^J q^I rank."""
+    """Graded Euler characteristic: sum of (-1)^J q^I rank, in integers
+    (``(-1) ** j`` is a float for j < 0)."""
     d: dict[int, int] = {}
     for (i, j), rank in r.ranks:
-        d[i] = d.get(i, 0) + (-1) ** j * rank
+        d[i] = d.get(i, 0) + (-rank if j & 1 else rank)
     return LaurentPoly1.from_dict(d)
 
 
@@ -300,7 +305,7 @@ def _find(parent, x):
 
 def _curve_names(m1: Matching, m2: Matching) -> dict[int, int]:
     """Each point of two matchings on one boundary -> the least point of
-    its curve in their union."""
+    its curve in their union; ``_Complex.curve_names`` keeps each pair's."""
     p1: dict[int, int] = {}
     p2: dict[int, int] = {}
     for m, p in ((m1, p1), (m2, p2)):
@@ -318,23 +323,33 @@ def _curve_names(m1: Matching, m2: Matching) -> dict[int, int]:
 
 def _smooth(arcs, boundary: frozenset) -> tuple[Matching, list[int]]:
     """A union of arcs as a matching on ``boundary`` plus the least point
-    of each closed circle."""
-    parent: dict[int, int] = {}
+    of each closed circle.
+
+    Each point lies on at most two arcs, and on one exactly when it is on
+    ``boundary``; so each path runs between two boundary points, and the
+    rest are circles, walked from their least point.
+    """
+    ends: dict[int, list[int]] = {}
     for x, y in arcs:
-        parent.setdefault(x, x)
-        parent.setdefault(y, y)
-        parent[_find(parent, x)] = _find(parent, y)
-    parts: dict[int, list[int]] = {}
-    for x in parent:
-        parts.setdefault(_find(parent, x), []).append(x)
+        ends.setdefault(x, []).append(y)
+        ends.setdefault(y, []).append(x)
+    seen: set[int] = set()
     matching, circles = [], []
-    for points in parts.values():
-        tips = sorted(x for x in points if x in boundary)
-        if tips:
-            matching.append(tuple(tips))
+    for start in [*sorted(boundary), *sorted(ends.keys() - boundary)]:
+        if start in seen:
+            continue
+        seen.add(start)
+        prev, x = start, ends[start][0]
+        while x != start and x not in boundary:
+            seen.add(x)
+            a, b = ends[x]
+            prev, x = x, (b if a == prev else a)
+        if x == start:
+            circles.append(start)
         else:
-            circles.append(min(points))
-    return tuple(sorted(matching)), circles
+            seen.add(x)
+            matching.append((start, x))
+    return tuple(matching), circles
 
 
 class _Surface:
@@ -344,83 +359,93 @@ class _Surface:
     disk x to disk y along ``arcs`` intervals, each of which lowers the
     Euler characteristic by one, or along a whole circle when ``arcs`` is 0.
     ``rims`` maps the bit of each boundary curve of the result to a disk on
-    that curve.  ``index`` gives each disk's component, and ``comps`` each
-    component's genus and curve bits.
+    that curve.  ``index`` gives each disk's component, ``comps`` each
+    component's genus and curve bits, and ``tables`` the evaluation of each
+    dot vector met so far.
     """
 
-    __slots__ = ("index", "comps")
+    __slots__ = ("index", "comps", "tables")
 
     def __init__(self, labels, joins, rims: dict[int, int]):
         parent = {x: x for x in labels}
         for x, y, _ in joins:
             parent[_find(parent, x)] = _find(parent, y)
-        chi: dict[int, int] = {}
-        for x in labels:
-            r = _find(parent, x)
-            chi[r] = chi.get(r, 0) + 1
+        order: dict[int, int] = {}  # root -> component
+        index = self.index = {x: order.setdefault(_find(parent, x), len(order))
+                              for x in labels}
+        chi, curves = [0] * len(order), [0] * len(order)
+        for i in index.values():
+            chi[i] += 1
         for x, _, arcs in joins:
-            chi[_find(parent, x)] -= arcs
-        curves = dict.fromkeys(chi, 0)
+            chi[index[x]] -= arcs
         for bit, x in rims.items():
-            curves[_find(parent, x)] |= bit
-        order = {r: i for i, r in enumerate(chi)}
-        self.index = {x: order[_find(parent, x)] for x in labels}
+            curves[index[x]] |= bit
         # chi = 2 - 2 genus - (number of boundary curves)
-        self.comps = [((2 - c - curves[r].bit_count()) // 2, curves[r])
-                      for r, c in chi.items()]
+        self.comps = [((2 - c - k.bit_count()) // 2, k) for c, k in zip(chi, curves)]
+        self.tables: dict[tuple[int, ...], Morphism] = {}
 
-    def evaluate(self, dots: list[int], coeff: int, out: Morphism) -> None:
-        """Add ``coeff`` times the surface, with ``dots[i]`` dots on
-        component i, to ``out``.
+    def evaluate(self, dots: tuple[int, ...]) -> Morphism:
+        """The surface with ``dots[i]`` dots on component i, in the
+        neck-cut basis; computed once per dot vector, so the caller must
+        not modify it.
 
         With h = t = 0 a handle is twice a dot and two dots vanish.  So a
         component whose genus plus dots is 1 dots all its curves, one with
         0 leaves each curve undotted in turn (and is zero if closed), and
         any other is zero.
         """
-        terms = {0: coeff}
+        terms = self.tables.get(dots)
+        if terms is not None:
+            return terms
+        masks, dotted, scale = [0], 0, 1
         for (genus, curves), d in zip(self.comps, dots):
             weight = genus + d
             if weight > 1 or not (weight or curves):
-                return
+                masks = []
+                break
             if weight:
-                terms = {m | curves: c * (1 << genus) for m, c in terms.items()}
-                continue
-            undotted = []
-            rest = curves
-            while rest:
-                low = rest & -rest
-                undotted.append(curves ^ low)
-                rest ^= low
-            terms = {m | u: c for m, c in terms.items() for u in undotted}
-        for m, c in terms.items():
-            out[m] = out.get(m, 0) + c
+                dotted |= curves
+                scale <<= genus
+            elif curves & (curves - 1):  # undotting a lone curve changes nothing
+                undotted = []
+                rest = curves
+                while rest:
+                    low = rest & -rest
+                    undotted.append(curves ^ low)
+                    rest ^= low
+                masks = [m | u for m in masks for u in undotted]
+        terms = self.tables[dots] = {m | dotted: scale for m in masks}
+        return terms
 
 
-def _compose(cache: dict, top: int, delta: Morphism, gamma: Morphism,
+def _compose(cx: "_Complex", delta: Morphism, gamma: Morphism,
              x: Matching, m: Matching, y: Matching) -> Morphism:
-    """gamma o delta for delta: x -> m and gamma: m -> y; ``cache`` keeps
-    the glued surface of each (x, m, y), and ``top`` is ``_Complex.top``."""
-    surface = cache.get((x, m, y))
+    """gamma o delta for delta: x -> m and gamma: m -> y in ``cx``, whose
+    ``composites`` keep the glued surface of each (x, m, y)."""
+    top = cx.top
+    surface = cx.composites.get((x, m, y))
     if surface is None:
-        lower, upper = _curve_names(x, m), _curve_names(m, y)
+        lower, upper = cx.curve_names(x, m), cx.curve_names(m, y)
+        below, above = set(lower.values()), set(upper.values())
         s = _Surface(
-            set(lower.values()) | {top + n for n in upper.values()},
+            below | {top + n for n in above},
             [(lower[u], top + upper[u], 1) for u, _ in m],
-            {1 << n: lower[p] for p, n in _curve_names(x, y).items()},
+            {1 << n: lower[n] for n in set(cx.curve_names(x, y).values())},
         )
         low, high = [0] * len(s.comps), [0] * len(s.comps)
-        for n in set(lower.values()):
+        for n in below:
             low[s.index[n]] |= 1 << n
-        for n in set(upper.values()):
+        for n in above:
             high[s.index[top + n]] |= 1 << n
-        surface = cache[x, m, y] = (s, low, high)
+        surface = cx.composites[x, m, y] = (s, low, high)
     s, low, high = surface
     out: Morphism = {}
     for m1, c1 in delta.items():
         for m2, c2 in gamma.items():
-            dots = [(m1 & a).bit_count() + (m2 & b).bit_count() for a, b in zip(low, high)]
-            s.evaluate(dots, c1 * c2, out)
+            c = c1 * c2
+            for mask, t in s.evaluate(tuple((m1 & a).bit_count() + (m2 & b).bit_count()
+                                            for a, b in zip(low, high))).items():
+                out[mask] = out.get(mask, 0) + c * t
     return out
 
 
@@ -443,6 +468,18 @@ class _Complex:
         self.out: dict[int, dict[int, Morphism]] = {0: {}}  # id -> {target: morphism}
         self.into: dict[int, set[int]] = {0: set()}  # id -> ids with a morphism into it
         self.built = 0  # objects of every step built so far
+        # Memos of the current step, its build and cancellation, emptied
+        # when the next crossing is added: the curve names of each pair of
+        # matchings, and _compose's surface of each (x, m, y).
+        self.names: dict[tuple[Matching, Matching], dict[int, int]] = {}
+        self.composites: dict[tuple[Matching, Matching, Matching], tuple] = {}
+
+    def curve_names(self, m1: Matching, m2: Matching) -> dict[int, int]:
+        """``_curve_names(m1, m2)``, kept in ``names``."""
+        names = self.names.get((m1, m2))
+        if names is None:
+            names = self.names[m1, m2] = _curve_names(m1, m2)
+        return names
 
     def add_crossing(self, ports: tuple[int, ...]) -> None:
         """Tensor with the crossing's complex [r0 -> r1{1}], then deloop.
@@ -471,36 +508,54 @@ class _Complex:
                 f"the scan needs {self.built} objects over its steps, over the "
                 f"budget of {MAX_SCAN_OBJECTS}"
             )
+        self.names, self.composites = {}, {}
         _Step(self, ports, internal, boundary, smooth).build()
 
     def cancel(self) -> None:
         """Gaussian elimination of every isomorphism, a nonzero undotted
         scalar c between two objects with the same matching and shift, until
-        none is left; c^-1 is an int when c = +-1, else a Fraction."""
+        none is left; c^-1 is an int when c = +-1, else a Fraction.
+
+        Cancelling c: o1 -> o2 composes each other map into o2 with each
+        other map out of o1, (|into[o2]| - 1) * (|out[o1]| - 1) compositions,
+        and those sums are the fill-in.  So the isomorphisms are taken from
+        a heap in Markowitz order (H. Markowitz, Management Sci. 3, 1957),
+        keyed by that cost and then by (o1, o2), which keeps the order
+        deterministic.  A popped cost that has grown is pushed back; each
+        cancellation pushes the isomorphisms of the rows it changed.
+        """
         objects, out, into = self.objects, self.out, self.into
-        composites: dict = {}
-        queue = list(objects)
-        while queue:
-            o1 = queue.pop()
-            if o1 not in objects:
-                continue
+        heap: list[tuple[int, int, int]] = []
+
+        def push(o1: int) -> None:
             m, shift, _ = objects[o1]
-            for o2, phi in out[o1].items():
-                if objects[o2][:2] == (m, shift) and len(phi) == 1 and 0 in phi:
-                    break
-            else:
+            row = out[o1]
+            for o2, phi in row.items():
+                if len(phi) == 1 and 0 in phi and objects[o2][:2] == (m, shift):
+                    heappush(heap, ((len(into[o2]) - 1) * (len(row) - 1), o1, o2))
+
+        for o in objects:
+            push(o)
+        while heap:
+            cost, o1, o2 = heappop(heap)
+            phi = out[o1].get(o2) if o1 in out else None
+            if phi is None or len(phi) != 1 or 0 not in phi:
+                continue
+            now = (len(into[o2]) - 1) * (len(out[o1]) - 1)
+            if now > cost:
+                heappush(heap, (now, o1, o2))
                 continue
             # d(x -> y) -= gamma phi^-1 delta, for delta: x -> o2, gamma: o1 -> y.
+            m = objects[o1][0]
             scalar = phi[0]
             inverse = scalar if scalar in (1, -1) else 1 / Fraction(scalar)
             targets = [(y, g) for y, g in out[o1].items() if y != o2]
-            for x in into[o2]:
-                if x == o1:
-                    continue
+            rows = [x for x in into[o2] if x != o1]
+            for x in rows:
                 row, delta = out[x], out[x][o2]
                 for y, gamma in targets:
                     f = row.get(y, {})
-                    for mask, c in _compose(composites, self.top, delta, gamma,
+                    for mask, c in _compose(self, delta, gamma,
                                             objects[x][0], m, objects[y][0]).items():
                         f[mask] = f.get(mask, 0) - inverse * c
                     f = {mask: c for mask, c in f.items() if c}
@@ -510,7 +565,6 @@ class _Complex:
                     elif y in row:
                         del row[y]
                         into[y].discard(x)
-                queue.append(x)
             for o in (o1, o2):
                 for x in into.pop(o):
                     if x in out:
@@ -519,6 +573,8 @@ class _Complex:
                     if y in into:
                         into[y].discard(o)
                 del objects[o]
+            for x in rows:
+                push(x)
 
 
 class _Step:
@@ -536,13 +592,13 @@ class _Step:
         """The cobordism (f: a -> b) tensored with the crossing's identity
         on resolution i (i == j) or its saddle (i = 0, j = 1), with a cup on
         each circle below and a cap on each circle above.  Returns the
-        surface, the bits of f's curves on each component, and the
-        components of the cups and of the caps."""
+        surface, the bits of f's curves on each component, the components
+        of the cups and of the caps, and ``_add``'s table of terms."""
         if (a, b, i, j) in self.surfaces:
             return self.surfaces[a, b, i, j]
         top, ports = self.cx.top, self.ports
         pieces = _STRIPS[i] if i == j else _SADDLE
-        names = _curve_names(a, b)
+        names = self.cx.curve_names(a, b)
         a2, cups = self.smooth[a, i]
         b2, caps = self.smooth[b, j]
 
@@ -557,18 +613,18 @@ class _Step:
         caps_at = top + 2 + len(cups)
         joins += [(top + 2 + t, owner(x), 0) for t, x in enumerate(cups)]
         joins += [(caps_at + t, owner(x), 0) for t, x in enumerate(caps)]
+        curves = set(names.values())
         s = _Surface(
-            set(names.values()) | {top + p for p in pieces}
-            | set(range(top + 2, caps_at + len(caps))),
+            curves | {top + p for p in pieces} | set(range(top + 2, caps_at + len(caps))),
             joins,
-            {1 << n: owner(x) for x, n in _curve_names(a2, b2).items()},
+            {1 << n: owner(n) for n in set(self.cx.curve_names(a2, b2).values())},
         )
         bits = [0] * len(s.comps)
-        for n in set(names.values()):
+        for n in curves:
             bits[s.index[n]] |= 1 << n
         surface = self.surfaces[a, b, i, j] = (
             s, bits, [s.index[top + 2 + t] for t in range(len(cups))],
-            [s.index[caps_at + t] for t in range(len(caps))])
+            [s.index[caps_at + t] for t in range(len(caps))], {})
         return surface
 
     def build(self) -> None:
@@ -600,17 +656,25 @@ class _Step:
                                                     self.out, self.into)
 
     def _add(self, sources, targets, surface, f: Morphism) -> None:
-        s, bits, cups, caps = surface
+        """Map each summand in ``sources`` to each in ``targets`` by ``f``
+        tensored with ``surface``; the surface's value for each dot mask of
+        f and pair of summand signs is kept in its table, as the same
+        surface recurs with other maps f."""
+        s, bits, cups, caps, table = surface
         for n1, below in sources:
             for n2, above in targets:
                 g: Morphism = {}
                 for mask, c in f.items():
-                    dots = [(mask & b).bit_count() for b in bits]
-                    for t, sign in enumerate(below):
-                        dots[cups[t]] += sign < 0
-                    for t, sign in enumerate(above):
-                        dots[caps[t]] += sign > 0
-                    s.evaluate(dots, c, g)
+                    terms = table.get((mask, below, above))
+                    if terms is None:
+                        dots = [(mask & b).bit_count() for b in bits]
+                        for t, sign in enumerate(below):
+                            dots[cups[t]] += sign < 0
+                        for t, sign in enumerate(above):
+                            dots[caps[t]] += sign > 0
+                        terms = table[mask, below, above] = s.evaluate(tuple(dots))
+                    for m, t in terms.items():
+                        g[m] = g.get(m, 0) + c * t
                 g = {mask: c for mask, c in g.items() if c}
                 if g:
                     self.out[n1][n2] = g

@@ -20,6 +20,7 @@ from knotbound.braid import (
     stabilize,
 )
 from knotbound.homfly import homfly
+from knotbound.laurent import LaurentPoly1
 from knotbound import khovanov
 from knotbound.khovanov import (
     SCAN_STARTS,
@@ -29,6 +30,7 @@ from knotbound.khovanov import (
     _rank_sparse,
     _scan_order,
     braid_to_pd,
+    euler_polynomial,
     pd_from_text,
     pd_to_text,
     poincare_polynomial,
@@ -372,6 +374,64 @@ def test_split_components_handled():
     ranks = reduced_khovanov(braid_to_pd(w))
     assert ranks.total_rank() > 0
     assert euler_matches(w)
+
+
+def test_euler_polynomial_is_exact_at_negative_degrees():
+    # (-1) ** -1 is the float -1.0, and -1.0 * (2^60 + 1) rounds to -2^60.
+    big = 2 ** 60 + 1
+    euler = euler_polynomial(BigradedRanks.from_dict({(0, -1): big, (2, -2): big,
+                                                      (4, 3): 1}))
+    assert euler == LaurentPoly1.from_dict({0: -big, 2: big, 4: -1})
+    assert all(type(c) is int for _, c in euler.terms)
+
+
+# A 4-strand knot whose scan word composed 903,933 times in queue order.
+WIDE_KNOT = BraidWord(4, (1, -2, 3, 1, 1, -2, -2, 3, 3, -1, 2, 2, -3, -3, 1, 2, 3))
+
+
+@pytest.mark.parametrize("word, bound", [
+    (BraidWord(4, (1, 2, 3) * 9), 6_000),
+    (scan_word(BraidWord(*canonical_closure_key(WIDE_KNOT))), 100_000),
+], ids=["T(4,9)", "wide knot"])
+def test_markowitz_order_bounds_the_compositions(monkeypatch, word, bound):
+    # Compositions that cancel() makes, a count of its fill-in: in queue
+    # order 7,522 on T(4, 9) and 903,933 on the CLI's scan word of
+    # WIDE_KNOT; in Markowitz order 4,472 and 10,800.
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return compose(*args)
+
+    compose = khovanov._compose
+    monkeypatch.setattr(khovanov, "_compose", counting)
+    reduced_khovanov(braid_to_pd(word))
+    assert 0 < len(calls) <= bound
+
+
+def test_a_scan_leaves_no_state_on_the_module():
+    # The evaluation tables and memos belong to one scan's objects, so a
+    # long-lived process keeps nothing from one query for the next.
+    def snapshot():
+        # Each name's object, with a copy of what a memo could be kept in.
+        found = {}
+        for name, value in vars(khovanov).items():
+            if isinstance(value, type):
+                found[name] = value, dict(vars(value))
+            elif isinstance(value, (dict, list, set)) and not name.startswith("__"):
+                found[name] = value, copy.copy(value)
+            else:
+                found[name] = value, None
+        return found
+
+    before = snapshot()
+    for w in (elrifai_k_word(1), BraidWord(3, (1, -2, 1, -2))):
+        reduced_khovanov(braid_to_pd(w))
+    after = snapshot()
+    assert after.keys() == before.keys()
+    for name, (value, contents) in before.items():
+        assert after[name][0] is value, name
+        assert after[name][1] == contents, name
 
 
 # --- rank engine --------------------------------------------------------------
